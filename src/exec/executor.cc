@@ -245,16 +245,11 @@ void Executor::FoldJobStats(const std::string& name, JobStats stats,
   totals->rescheduled_tasks += stats.rescheduled_tasks;
   totals->revoked_wasted_seconds += stats.revoked_wasted_seconds;
 
-  // Every exec.* counter goes to the shared registry (global totals), the
-  // per-run registry (PlanStats::metrics), and — when the plan is tagged —
-  // a plan.<tag>.exec.* copy so concurrent tenants stay distinguishable.
+  // Every exec.* counter goes to the shared registry (global totals) and
+  // the per-run registry (PlanStats::metrics, exact per plan).
   auto add = [&](const char* metric, int64_t delta) {
     metrics_->counter(metric)->Add(delta);
     run_metrics->counter(metric)->Add(delta);
-    if (!options_.plan_tag.empty()) {
-      metrics_->counter(StrCat("plan.", options_.plan_tag, ".", metric))
-          ->Add(delta);
-    }
   };
   add("exec.jobs", 1);
   add("exec.tasks", stats.num_tasks);

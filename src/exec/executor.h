@@ -95,7 +95,8 @@ struct ExecutorOptions {
   /// options for task-level spans.
   Tracer* tracer = nullptr;
 
-  /// Destination of the exec.* metrics. PlanStats::metrics scopes its
+  /// Destination of the exec.* metrics, under the same names for every
+  /// plan (no per-plan names). PlanStats::metrics scopes its
   /// exec.* counters to this run (a private per-run registry), so two
   /// concurrent Run calls sharing this registry never double-count each
   /// other's deltas; non-exec names (engine.*, dfs.*) are still the shared
@@ -107,9 +108,10 @@ struct ExecutorOptions {
   // Defaults preserve the classic exclusive-engine behavior.
 
   /// Identity of the plan this executor runs on behalf of. plan_tag
-  /// prefixes job/task span names and scopes tagged metric copies
-  /// (plan.<tag>.exec.*); plan_id picks the driver trace lane and tags
-  /// span args. plan_id < 0 = untagged.
+  /// prefixes job/task span names and cancellation messages; plan_id picks
+  /// the driver trace lane and tags span args. plan_id < 0 = untagged.
+  /// Per-plan metrics are PlanStats::metrics, never tagged names in the
+  /// shared registry, so the registry's size does not grow with plans.
   int64_t plan_id = -1;
   std::string plan_tag;
 
@@ -272,9 +274,8 @@ class Executor {
   void EndJobTrace(const JobTraceScope& scope, const JobStats& stats) const;
 
   /// Accumulates one job's stats into the plan totals and the exec.*
-  /// metrics: the shared registry (global totals, plus plan.<tag>.exec.*
-  /// copies when tagged) and the per-run registry backing
-  /// PlanStats::metrics.
+  /// metrics: the shared registry (global totals) and the per-run registry
+  /// backing PlanStats::metrics.
   void FoldJobStats(const std::string& name, JobStats stats,
                     PlanStats* totals, MetricsRegistry* run_metrics);
 

@@ -337,6 +337,7 @@ JsonValue CumulonService::SubmitInternal(const SubmitRequest& request,
     }
   }
   submission.plan = std::move(lowered->plan);
+  const std::string name = submission.name;
 
   auto mgr_id = manager_.Submit(std::move(submission));
   metrics_->histogram("svc.submit.admission_seconds")
@@ -375,6 +376,7 @@ JsonValue CumulonService::SubmitInternal(const SubmitRequest& request,
   rec.state = SvcPlanState::kQueued;
   rec.mgr_id = *mgr_id;
   mgr_to_svc_[*mgr_id] = id;
+  inflight_[id] = *mgr_id;
   sessions_.OnAdmitted(request.tenant, estimate->dollars);
   metrics_->counter(restored ? "svc.restore.restored" : "svc.submit.accepted")
       ->Increment();
@@ -383,15 +385,14 @@ JsonValue CumulonService::SubmitInternal(const SubmitRequest& request,
   JsonValue reply = JsonValue::Object();
   reply.Set("type", "SUBMIT_OK")
       .Set("plan", id)
-      .Set("name", submission.name)
+      .Set("name", name)
       .Set("estimate_seconds", estimate->seconds)
       .Set("estimate_dollars", estimate->dollars);
   return reply;
 }
 
-Result<CumulonService::PlanRecord> CumulonService::FindPlan(
-    int64_t plan_id, const std::string& tenant) const {
-  MutexLock lock(&mu_);
+Result<CumulonService::PlanRecord*> CumulonService::FindPlanLocked(
+    int64_t plan_id, const std::string& tenant) {
   auto it = records_.find(plan_id);
   if (it == records_.end()) {
     return TypedError(StatusCode::kNotFound, "plan.unknown",
@@ -401,7 +402,19 @@ Result<CumulonService::PlanRecord> CumulonService::FindPlan(
     return TypedError(StatusCode::kFailedPrecondition, "plan.foreign",
                       StrCat("plan ", plan_id, " belongs to another tenant"));
   }
-  return it->second;
+  return &it->second;
+}
+
+Status CumulonService::SyncPlan(int64_t plan_id, const std::string& tenant) {
+  int64_t mgr_id = 0;
+  {
+    MutexLock lock(&mu_);
+    CUMULON_ASSIGN_OR_RETURN(PlanRecord * rec,
+                             FindPlanLocked(plan_id, tenant));
+    if (!rec->terminal) mgr_id = rec->mgr_id;
+  }
+  if (mgr_id > 0) AbsorbOutcome(plan_id, mgr_id);
+  return Status::OK();
 }
 
 JsonValue CumulonService::HandlePoll(const JsonValue& request) {
@@ -409,8 +422,10 @@ JsonValue CumulonService::HandlePoll(const JsonValue& request) {
   if (!tenant.ok()) return EncodeError(tenant.status());
   const int64_t plan = request.IntOr("plan", 0);
   const int64_t cursor = request.IntOr("cursor", 0);
-  auto rec = FindPlan(plan, *tenant);
-  if (!rec.ok()) return EncodeError(rec.status(), plan);
+  const Status synced = SyncPlan(plan, *tenant);
+  if (!synced.ok()) return EncodeError(synced, plan);
+  MutexLock lock(&mu_);
+  const PlanRecord* rec = &records_.at(plan);
   JsonValue reply = JsonValue::Object();
   reply.Set("type", "POLL_OK")
       .Set("plan", plan)
@@ -441,8 +456,10 @@ JsonValue CumulonService::HandleResult(const JsonValue& request) {
   auto tenant = TenantForRequest(request);
   if (!tenant.ok()) return EncodeError(tenant.status());
   const int64_t plan = request.IntOr("plan", 0);
-  auto rec = FindPlan(plan, *tenant);
-  if (!rec.ok()) return EncodeError(rec.status(), plan);
+  const Status synced = SyncPlan(plan, *tenant);
+  if (!synced.ok()) return EncodeError(synced, plan);
+  MutexLock lock(&mu_);
+  const PlanRecord* rec = &records_.at(plan);
   if (!rec->terminal) {
     return EncodeError(
         TypedError(StatusCode::kFailedPrecondition, "plan.not_terminal",
@@ -480,21 +497,28 @@ JsonValue CumulonService::HandleCancel(const JsonValue& request) {
   auto tenant = TenantForRequest(request);
   if (!tenant.ok()) return EncodeError(tenant.status());
   const int64_t plan = request.IntOr("plan", 0);
-  auto rec = FindPlan(plan, *tenant);
-  if (!rec.ok()) return EncodeError(rec.status(), plan);
-  if (rec->terminal) {
-    return EncodeError(
-        TypedError(StatusCode::kFailedPrecondition, "plan.terminal",
-                   StrCat("plan ", plan, " already finished as ",
-                          SvcPlanStateName(rec->state))),
-        plan);
+  int64_t mgr_id = 0;
+  {
+    MutexLock lock(&mu_);
+    auto found = FindPlanLocked(plan, *tenant);
+    if (!found.ok()) return EncodeError(found.status(), plan);
+    const PlanRecord* rec = *found;
+    if (rec->terminal) {
+      return EncodeError(
+          TypedError(StatusCode::kFailedPrecondition, "plan.terminal",
+                     StrCat("plan ", plan, " already finished as ",
+                            SvcPlanStateName(rec->state))),
+          plan);
+    }
+    mgr_id = rec->mgr_id;
   }
-  const Status st = manager_.Cancel(rec->mgr_id);
+  const Status st = manager_.Cancel(mgr_id);
   if (!st.ok() && st.code() != StatusCode::kFailedPrecondition) {
     return EncodeError(st, plan);
   }
   // FailedPrecondition = the plan finished between our lookup and the
-  // cancel; the reaper is about to absorb the terminal outcome either way.
+  // cancel; the next POLL or reaper tick absorbs the terminal outcome
+  // either way.
   metrics_->counter("svc.cancelled")->Increment();
   JsonValue reply = JsonValue::Object();
   reply.Set("type", "CANCEL_OK").Set("plan", plan);
@@ -558,23 +582,20 @@ JsonValue CumulonService::HandleDrain(const JsonValue&) {
   }
 
   // First half: pull back everything still queued and persist the specs.
-  const std::vector<int64_t> cancelled = manager_.CancelAllQueued();
+  // mu_ spans the cancel: otherwise a reaper tick or POLL could absorb a
+  // cancelled plan as an ordinary terminal outcome before this loop sees
+  // it, and its spec would never be persisted.
   std::vector<SubmitRequest> persisted;
   {
     MutexLock lock(&mu_);
-    const double now = wall_clock_.ElapsedSeconds();
+    const std::vector<int64_t> cancelled = manager_.CancelAllQueued();
     for (const int64_t mgr_id : cancelled) {
       auto map_it = mgr_to_svc_.find(mgr_id);
       if (map_it == mgr_to_svc_.end()) continue;
       auto rec_it = records_.find(map_it->second);
       if (rec_it == records_.end() || rec_it->second.terminal) continue;
-      PlanRecord& rec = rec_it->second;
-      rec.state = SvcPlanState::kCancelled;
-      rec.terminal = true;
-      rec.finish_wall_seconds = now;
-      ++rec.cursor;
-      persisted.push_back(rec.request);
-      sessions_.OnFinished(rec.tenant);
+      FinishRecordLocked(&rec_it->second, SvcPlanState::kCancelled);
+      persisted.push_back(rec_it->second.request);
     }
     persisted_plans_ = static_cast<int64_t>(persisted.size());
     metrics_->gauge("svc.plans.inflight")->Set(InflightLocked());
@@ -610,49 +631,54 @@ JsonValue CumulonService::HandleDrain(const JsonValue&) {
   return reply;
 }
 
+void CumulonService::FinishRecordLocked(PlanRecord* rec,
+                                        SvcPlanState state) {
+  rec->state = state;
+  rec->terminal = true;
+  rec->finish_wall_seconds = wall_clock_.ElapsedSeconds();
+  ++rec->cursor;
+  inflight_.erase(rec->id);
+  sessions_.OnFinished(rec->tenant);
+}
+
+void CumulonService::AbsorbOutcome(int64_t plan_id, int64_t mgr_id) {
+  auto outcome = manager_.TryGetOutcome(mgr_id);
+  if (outcome.ok()) {
+    MutexLock lock(&mu_);
+    // A concurrent POLL, RESULT or reaper tick may have absorbed it first.
+    PlanRecord& rec = records_.at(plan_id);
+    if (rec.terminal) return;
+    rec.outcome = std::move(*outcome);
+    SvcPlanState state = SvcPlanState::kFailed;
+    switch (rec.outcome.state) {
+      case PlanState::kDone: state = SvcPlanState::kDone; break;
+      case PlanState::kCancelled: state = SvcPlanState::kCancelled; break;
+      default: break;
+    }
+    FinishRecordLocked(&rec, state);
+    metrics_->histogram("svc.plan.completion_seconds")
+        ->Observe(rec.finish_wall_seconds - rec.submit_wall_seconds);
+    metrics_->gauge("svc.plans.inflight")->Set(InflightLocked());
+    return;
+  }
+  auto state = manager_.QueryState(mgr_id);
+  if (state.ok() && *state == PlanState::kRunning) {
+    MutexLock lock(&mu_);
+    PlanRecord& rec = records_.at(plan_id);
+    if (rec.state == SvcPlanState::kQueued) {
+      rec.state = SvcPlanState::kRunning;
+      ++rec.cursor;
+    }
+  }
+}
+
 void CumulonService::PollOutcomes() {
   std::vector<std::pair<int64_t, int64_t>> active;  // svc id, manager id
   {
     MutexLock lock(&mu_);
-    for (const auto& [id, rec] : records_) {
-      if (!rec.terminal && rec.mgr_id > 0) active.emplace_back(id, rec.mgr_id);
-    }
+    active.assign(inflight_.begin(), inflight_.end());
   }
-  for (const auto& [id, mgr_id] : active) {
-    auto outcome = manager_.TryGetOutcome(mgr_id);
-    if (outcome.ok()) {
-      MutexLock lock(&mu_);
-      auto it = records_.find(id);
-      if (it == records_.end() || it->second.terminal) continue;
-      PlanRecord& rec = it->second;
-      rec.outcome = std::move(*outcome);
-      rec.terminal = true;
-      rec.finish_wall_seconds = wall_clock_.ElapsedSeconds();
-      switch (rec.outcome.state) {
-        case PlanState::kDone: rec.state = SvcPlanState::kDone; break;
-        case PlanState::kCancelled:
-          rec.state = SvcPlanState::kCancelled;
-          break;
-        default: rec.state = SvcPlanState::kFailed; break;
-      }
-      ++rec.cursor;
-      sessions_.OnFinished(rec.tenant);
-      metrics_->histogram("svc.plan.completion_seconds")
-          ->Observe(rec.finish_wall_seconds - rec.submit_wall_seconds);
-      metrics_->gauge("svc.plans.inflight")->Set(InflightLocked());
-      continue;
-    }
-    auto state = manager_.QueryState(mgr_id);
-    if (state.ok() && *state == PlanState::kRunning) {
-      MutexLock lock(&mu_);
-      auto it = records_.find(id);
-      if (it != records_.end() &&
-          it->second.state == SvcPlanState::kQueued) {
-        it->second.state = SvcPlanState::kRunning;
-        ++it->second.cursor;
-      }
-    }
-  }
+  for (const auto& [id, mgr_id] : active) AbsorbOutcome(id, mgr_id);
 }
 
 void CumulonService::ReaperLoop() {
@@ -688,11 +714,7 @@ void CumulonService::StopReaper() {
 }
 
 int CumulonService::InflightLocked() const {
-  int inflight = 0;
-  for (const auto& [id, rec] : records_) {
-    if (!rec.terminal) ++inflight;
-  }
-  return inflight;
+  return static_cast<int>(inflight_.size());
 }
 
 std::string CumulonService::DrainFilePath() const {

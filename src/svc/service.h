@@ -58,7 +58,9 @@ struct ServiceOptions {
   bool enable_elastic = true;
   double elastic_interval_seconds = 0.25;
 
-  /// Reaper cadence: how often plan records absorb terminal outcomes.
+  /// Reaper cadence: how often the reaper absorbs terminal outcomes of
+  /// plans nobody polls (releasing their quota) and ticks the elastic
+  /// controller. POLL and RESULT absorb their own plan's outcome at once.
   double reaper_interval_seconds = 0.02;
 
   SchedPolicy policy = SchedPolicy::kFairShare;
@@ -168,17 +170,32 @@ class CumulonService {
   /// workloads yield the typed workload.unknown error.
   Result<AdmissionEstimate> EstimateFor(const std::string& workload);
 
-  /// Looks up `plan` for `tenant` (typed plan.unknown / plan.foreign) and
-  /// copies the record out.
-  Result<PlanRecord> FindPlan(int64_t plan_id, const std::string& tenant) const;
+  /// Looks up `plan` for `tenant` (typed plan.unknown / plan.foreign).
+  /// Records are never erased, so the pointer stays valid.
+  Result<PlanRecord*> FindPlanLocked(int64_t plan_id,
+                                     const std::string& tenant)
+      CUMULON_REQUIRES(mu_);
+
+  /// FindPlanLocked, then brings a live record up to date with the manager
+  /// (AbsorbOutcome), so POLL and RESULT see a finished plan at once.
+  Status SyncPlan(int64_t plan_id, const std::string& tenant);
 
   /// Session resolution for one request frame.
   Result<std::string> TenantForRequest(const JsonValue& request) const;
 
-  /// Absorbs manager-side state changes into the plan records: queued ->
-  /// running transitions and terminal outcomes (releasing quota slots and
-  /// recording completion latency).
+  /// Absorbs one live plan's manager-side state into its record: the
+  /// queued -> running transition, or its terminal outcome (releasing the
+  /// quota slot and recording completion latency). The terminal outcome is
+  /// absorbed exactly once, whoever calls first.
+  void AbsorbOutcome(int64_t plan_id, int64_t mgr_id);
+
+  /// AbsorbOutcome for every in-flight plan: the reaper's backstop for
+  /// plans nobody polls.
   void PollOutcomes();
+
+  /// Makes a live record terminal in `state` and drops it from inflight_.
+  void FinishRecordLocked(PlanRecord* rec, SvcPlanState state)
+      CUMULON_REQUIRES(mu_);
 
   void ReaperLoop();
   void StopReaper();
@@ -204,6 +221,9 @@ class CumulonService {
   int64_t next_plan_id_ CUMULON_GUARDED_BY(mu_) = 1;
   std::map<int64_t, PlanRecord> records_ CUMULON_GUARDED_BY(mu_);
   std::map<int64_t, int64_t> mgr_to_svc_ CUMULON_GUARDED_BY(mu_);
+  // Non-terminal records (svc id -> manager id): the reaper scan and the
+  // inflight gauge cost O(in-flight), not O(plans served).
+  std::map<int64_t, int64_t> inflight_ CUMULON_GUARDED_BY(mu_);
   std::map<std::string, AdmissionEstimate> estimates_ CUMULON_GUARDED_BY(mu_);
   bool draining_ CUMULON_GUARDED_BY(mu_) = false;
   bool drained_ CUMULON_GUARDED_BY(mu_) = false;

@@ -340,13 +340,15 @@ TEST_F(SchedSimTest, PlanTagsScopeMetricsAndTraceLanes) {
   ASSERT_EQ(out_a.state, PlanState::kDone) << out_a.status;
   ASSERT_EQ(out_b.state, PlanState::kDone) << out_b.status;
 
-  // Tagged per-plan metric copies, exact per plan even though the registry
-  // is shared: alpha is a 2x2-tile product (4 tasks), beta 3x3 (9 tasks).
+  // The shared registry holds global totals under untagged names only:
+  // alpha is a 2x2-tile product (4 tasks), beta 3x3 (9 tasks).
   const MetricsSnapshot snapshot = metrics.Snapshot();
-  EXPECT_EQ(snapshot.CounterOr("plan.alpha.exec.tasks", -1), 4);
-  EXPECT_EQ(snapshot.CounterOr("plan.beta.exec.tasks", -1), 9);
+  for (const auto& [name, value] : snapshot.counters) {
+    EXPECT_NE(name.rfind("plan.", 0), 0u) << name;
+  }
   EXPECT_EQ(snapshot.CounterOr("exec.tasks", -1), 13);
-  // ... and the per-run PlanStats snapshots saw only their own counters.
+  // ... and the per-run PlanStats snapshots saw only their own counters,
+  // exact per plan even though the registry is shared.
   EXPECT_EQ(out_a.stats.metrics.CounterOr("exec.tasks", -1), 4);
   EXPECT_EQ(out_b.stats.metrics.CounterOr("exec.tasks", -1), 9);
 
@@ -374,6 +376,43 @@ TEST_F(SchedSimTest, PlanTagsScopeMetricsAndTraceLanes) {
   EXPECT_EQ(alpha_tasks, 4);
   EXPECT_EQ(beta_tasks, 9);
   EXPECT_EQ(plan_spans, 2);
+}
+
+TEST_F(SchedSimTest, SharedRegistrySizeIndependentOfPlansServed) {
+  // A long-running manager must not mint metric names per plan: the set
+  // of shared counters after 10 plans of one tenant equals the set after
+  // 40, and no counter is scoped to a plan tag.
+  MetricsRegistry metrics;
+  WorkloadManagerOptions options = SimManagerOptions();
+  options.metrics = &metrics;
+  options.max_concurrent_plans = 4;
+  WorkloadManager manager(&store_, engine_.get(), &cost_, options);
+  auto run_plans = [&](int first, int last) {
+    std::vector<int64_t> ids;
+    for (int i = first; i < last; ++i) {
+      Submission submission =
+          MakeSubmission(StrCat("reg", i), 1024, 5.0, 0.1);
+      submission.tenant = "tenant";
+      auto id = manager.Submit(std::move(submission));
+      ASSERT_TRUE(id.ok()) << id.status();
+      ids.push_back(*id);
+    }
+    for (int64_t id : ids) {
+      const PlanOutcome outcome = manager.Wait(id);
+      ASSERT_EQ(outcome.state, PlanState::kDone) << outcome.status;
+      EXPECT_EQ(outcome.stats.metrics.CounterOr("exec.tasks", -1), 4);
+    }
+  };
+  run_plans(0, 10);
+  const size_t after_10 = metrics.Snapshot().counters.size();
+  run_plans(10, 40);
+  const MetricsSnapshot after_40 = metrics.Snapshot();
+  manager.Drain();
+  EXPECT_EQ(after_40.counters.size(), after_10);
+  EXPECT_EQ(after_40.CounterOr("exec.tasks", -1), 40 * 4);
+  for (const auto& [name, value] : after_40.counters) {
+    EXPECT_NE(name.rfind("plan.", 0), 0u) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

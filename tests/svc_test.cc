@@ -1,5 +1,7 @@
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -8,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "svc/catalog.h"
 #include "svc/client.h"
 #include "svc/json.h"
@@ -231,7 +234,7 @@ TEST(SessionTest, AggregateBudgetQuotaStaysSpent) {
 // Service end-to-end over the in-process transport
 // ---------------------------------------------------------------------------
 
-/// Polls until the plan is terminal (the reaper runs every ~2 ms).
+/// Polls until the plan is terminal (POLL absorbs a finished outcome).
 ServiceClient::PollReply PollToTerminal(ServiceClient* client, int64_t plan) {
   ServiceClient::PollReply poll;
   for (int i = 0; i < 5000; ++i) {
@@ -269,6 +272,7 @@ TEST(ServiceTest, SubmitPollResultLifecycle) {
   auto submit = client.Submit("mm-s");
   ASSERT_TRUE(submit.ok()) << submit.status();
   EXPECT_GT(submit->plan, 0);
+  EXPECT_EQ(submit->name, StrCat("mm-s-", submit->plan));
   EXPECT_GT(submit->estimate_seconds, 0.0);
 
   const ServiceClient::PollReply poll = PollToTerminal(&client, submit->plan);
@@ -462,17 +466,119 @@ TEST(ServiceTest, StatsReportQueueAndFleet) {
   client.Drain().IgnoreError();
 }
 
+TEST(ServiceTest, PollAbsorbsFinishedPlanWithoutReaper) {
+  // The reaper never ticks during the test: POLL alone must see the plan
+  // finish and absorb its outcome.
+  ServiceOptions options = SmallServiceOptions();
+  options.reaper_interval_seconds = 3600.0;
+  CumulonService service(options);
+  LocalTransport transport(&service);
+  ServiceClient client(&transport);
+  ASSERT_TRUE(client.Hello("alice").ok());
+  auto submit = client.Submit("mm-s");
+  ASSERT_TRUE(submit.ok()) << submit.status();
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  ServiceClient::PollReply poll;
+  while (std::chrono::steady_clock::now() < deadline) {
+    auto reply = client.Poll(submit->plan);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    poll = *reply;
+    if (poll.terminal) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(poll.terminal) << "plan still " << poll.state << " after 2 s";
+  EXPECT_EQ(poll.state, "DONE");
+  MetricsRegistry* metrics = service.metrics();
+  EXPECT_EQ(metrics->histogram("svc.plan.completion_seconds")->Snapshot().count,
+            1);
+  EXPECT_EQ(metrics->gauge("svc.plans.inflight")->Value(), 0);
+  client.Drain().IgnoreError();
+}
+
+TEST(ServiceTest, PollAndReaperAbsorbEachPlanOnce) {
+  // Four clients poll their plans in tight loops while a 1 ms reaper scans
+  // the same records: every terminal outcome is absorbed exactly once.
+  constexpr int kPlans = 50;
+  constexpr int kClients = 4;
+  ServiceOptions options = SmallServiceOptions();
+  options.reaper_interval_seconds = 0.001;
+  options.session.default_quota.max_inflight_plans = kPlans;
+  CumulonService service(options);
+
+  std::vector<std::thread> clients;
+  std::atomic<int> not_done{0};
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      LocalTransport transport(&service);
+      ServiceClient client(&transport);
+      if (!client.Hello("alice").ok()) {
+        ++not_done;
+        return;
+      }
+      std::vector<int64_t> plans;
+      for (int i = c; i < kPlans; i += kClients) {
+        auto submit = client.Submit("mm-s");
+        if (submit.ok()) plans.push_back(submit->plan);
+      }
+      for (const int64_t plan : plans) {
+        for (;;) {
+          auto poll = client.Poll(plan);
+          if (!poll.ok()) {
+            ++not_done;
+            break;
+          }
+          if (poll->terminal) {
+            if (poll->state != "DONE") ++not_done;
+            break;
+          }
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(not_done.load(), 0);
+
+  MetricsRegistry* metrics = service.metrics();
+  const int64_t accepted = metrics->counter("svc.submit.accepted")->Value();
+  EXPECT_EQ(accepted, kPlans);
+  EXPECT_EQ(metrics->histogram("svc.plan.completion_seconds")->Snapshot().count,
+            accepted);
+  EXPECT_EQ(metrics->gauge("svc.plans.inflight")->Value(), 0);
+  // The tenant's in-flight quota is fully released: exactly kPlans more
+  // plans fit before the quota refuses.
+  SessionManager* sessions = service.sessions();
+  for (int i = 0; i < kPlans; ++i) {
+    ASSERT_TRUE(sessions->AdmitCheck("alice", 0.0).ok()) << i;
+    sessions->OnAdmitted("alice", 0.0);
+  }
+  EXPECT_EQ(ErrorReason(sessions->AdmitCheck("alice", 0.0)), "quota.inflight");
+}
+
 // ---------------------------------------------------------------------------
 // Drain persistence and restore
 // ---------------------------------------------------------------------------
 
 class ServiceDrainTest : public ::testing::Test {
  protected:
+  // Each case runs as its own ctest process, possibly in parallel with the
+  // others: a state dir per test name and pid keeps their drain files apart.
   ServiceDrainTest() {
-    state_dir_ = testing::TempDir() + "svc_drain_test";
-    std::remove((state_dir_ + "/queued_plans.json").c_str());
+    state_dir_ = StrCat(
+        testing::TempDir(), "svc_drain_",
+        testing::UnitTest::GetInstance()->current_test_info()->name(), "_",
+        getpid());
+    std::remove(DrainFile().c_str());
     (void)mkdir(state_dir_.c_str(), 0755);
   }
+  ~ServiceDrainTest() override {
+    std::remove(DrainFile().c_str());
+    (void)rmdir(state_dir_.c_str());
+  }
+
+  std::string DrainFile() const { return state_dir_ + "/queued_plans.json"; }
 
   std::string state_dir_;
 };
@@ -521,6 +627,9 @@ TEST_F(ServiceDrainTest, DrainPersistsQueuedPlansAndRestartRestoresThem) {
   // The restored records are pollable under their persisted names.
   const ServiceClient::PollReply poll = PollToTerminal(&client, 1);
   EXPECT_EQ(poll.state, "DONE");
+  // Plan 2 must finish too: if it were still queued, this daemon's drain
+  // would persist it and the third daemon would restore it.
+  EXPECT_EQ(PollToTerminal(&client, 2).state, "DONE");
   // The drain file was consumed: a third daemon starts fresh.
   client.Drain().IgnoreError();
   CumulonService fresh(restart);
@@ -563,8 +672,7 @@ TEST_F(ServiceDrainTest, RestoreReappliesAdmissionDecisions) {
 
 TEST_F(ServiceDrainTest, CorruptDrainFileIsIgnored) {
   {
-    std::FILE* f =
-        std::fopen((state_dir_ + "/queued_plans.json").c_str(), "w");
+    std::FILE* f = std::fopen(DrainFile().c_str(), "w");
     ASSERT_NE(f, nullptr);
     std::fputs("{corrupt", f);
     std::fclose(f);
