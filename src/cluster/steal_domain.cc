@@ -144,7 +144,8 @@ StealDomainStats StealDomain::stats() const {
 TaskSplitScope::TaskSplitScope(StealDomain* domain, std::string task_name,
                                int machine)
     : domain_(domain), task_name_(std::move(task_name)), machine_(machine) {
-  if (domain_ != nullptr) slot_ = domain_->CurrentSlot();
+  CUMULON_CHECK(domain_ != nullptr);
+  slot_ = domain_->CurrentSlot();
 }
 
 TaskSplitScope::~TaskSplitScope() {
@@ -156,22 +157,6 @@ TaskSplitScope::~TaskSplitScope() {
 }
 
 void TaskSplitScope::Add(std::function<Status()> fn) {
-  if (domain_ == nullptr) {
-    // Inline mode: run now unless an earlier split already failed —
-    // matching the sequential task body this replaces (stop at first
-    // error). Single-threaded, but the latch mutex keeps the annotated
-    // fields uniform with the stealing path.
-    {
-      MutexLock lock(&latch_mu_);
-      if (!first_error_.ok()) return;
-    }
-    Status st = fn();
-    if (!st.ok()) {
-      MutexLock lock(&latch_mu_);
-      if (first_error_.ok()) first_error_ = std::move(st);
-    }
-    return;
-  }
   StealDomain::Split split;
   split.fn = std::move(fn);
   split.scope = this;
@@ -179,10 +164,6 @@ void TaskSplitScope::Add(std::function<Status()> fn) {
 }
 
 Status TaskSplitScope::RunAndWait() {
-  if (domain_ == nullptr) {
-    MutexLock lock(&latch_mu_);
-    return first_error_;
-  }
   {
     MutexLock lock(&latch_mu_);
     remaining_ = buffered_.size();

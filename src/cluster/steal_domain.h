@@ -130,25 +130,24 @@ class StealDomain {
   std::atomic<double> trace_offset_{0.0};
 };
 
-/// Per-task split collector. Usage inside a task body:
+/// Per-task split collector, the stealing branch of the task bodies' one
+/// split runner (RunTaskUnits in exec/physical_job.cc):
 ///
 ///   TaskSplitScope scope(ctx.steal, task_name, machine);
 ///   for (...) scope.Add([=]() -> Status { ... one block-split ... });
 ///   return scope.RunAndWait();
 ///
-/// With a null domain the scope degrades to inline execution: Add runs the
-/// split immediately (skipping the rest after the first error), RunAndWait
-/// just returns the outcome — so task bodies need no separate non-stealing
-/// code path for the work itself.
+/// Without a domain there is no scope: the runner runs the splits itself.
 class TaskSplitScope {
  public:
+  /// `domain` is borrowed and must be non-null.
   TaskSplitScope(StealDomain* domain, std::string task_name, int machine);
   ~TaskSplitScope();
 
   TaskSplitScope(const TaskSplitScope&) = delete;
   TaskSplitScope& operator=(const TaskSplitScope&) = delete;
 
-  /// Buffers (or, with a null domain, runs) one split.
+  /// Buffers one split.
   void Add(std::function<Status()> fn);
 
   /// Publishes buffered splits, participates (own deque first, stealing

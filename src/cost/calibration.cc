@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "matrix/kernel_config.h"
 #include "matrix/tile.h"
 #include "matrix/tile_ops.h"
 
@@ -45,17 +46,16 @@ Result<CalibrationResult> Calibrate(const CalibrationOptions& options) {
   FillGaussian(&b, &rng);
 
   CalibrationResult result;
-  // Record what actually runs after dispatch, so callers persisting the
-  // result can tell a SIMD calibration from a scalar one.
-  const KernelMode mode = options.kernel_mode;
-  result.kernel =
-      ResolveKernelMode(mode) == KernelMode::kSimd ? "simd" : "scalar";
+  // The probes run the plain kernel entry points, as task bodies do; record
+  // what they dispatch to, so callers persisting the result can tell a
+  // SIMD calibration from a scalar one.
+  result.kernel = SimdKernelAvailable() ? "simd" : "scalar";
 
   // GEMM probe: best-of-n 2d^3-flop multiplies.
   double best = 1e30;
   for (int rep = 0; rep < options.repetitions; ++rep) {
     Stopwatch sw;
-    CUMULON_RETURN_IF_ERROR(GemmWithMode(mode, a, b, 1.0, 0.0, &c));
+    CUMULON_RETURN_IF_ERROR(Gemm(a, b, 1.0, 0.0, &c));
     best = std::min(best, sw.ElapsedSeconds());
   }
   result.gemm_gflops = 2.0 * d * d * d / best / 1e9;
@@ -66,8 +66,7 @@ Result<CalibrationResult> Calibrate(const CalibrationOptions& options) {
   for (int rep = 0; rep < options.repetitions; ++rep) {
     Stopwatch sw;
     for (int i = 0; i < ew_iters; ++i) {
-      CUMULON_RETURN_IF_ERROR(
-          EwBinaryWithMode(mode, BinaryOp::kAdd, a, b, &c));
+      CUMULON_RETURN_IF_ERROR(EwBinary(BinaryOp::kAdd, a, b, &c));
     }
     best = std::min(best, sw.ElapsedSeconds());
   }

@@ -6,7 +6,6 @@
 #include "cloud/machine.h"
 #include "common/result.h"
 #include "cost/cost_model.h"
-#include "matrix/kernel_config.h"
 
 namespace cumulon {
 
@@ -36,11 +35,6 @@ struct CalibrationResult {
 struct CalibrationOptions {
   int64_t tile_dim = 256;  // tile size used by the probes
   int repetitions = 3;     // best-of-n to reduce scheduling noise
-
-  /// Kernel implementation to probe. Calibrate with the same mode the
-  /// executor will run (ExecutorOptions::kernel_mode) so the cost model's
-  /// flops term reflects the dispatched kernel, not the oracle.
-  KernelMode kernel_mode = KernelMode::kAuto;
 };
 
 /// Runs the paper's "benchmarking" step: times the tile kernels on this

@@ -16,10 +16,9 @@ std::string EwStep::ToString() const {
              : StrCat(BinaryOpName(bop), "(v, ", other_matrix, ")", suffix);
 }
 
-Status ApplyEwStep(const EwStep& step, Tile* value, const Tile* other,
-                   KernelMode mode) {
+Status ApplyEwStep(const EwStep& step, Tile* value, const Tile* other) {
   if (step.kind == EwStep::Kind::kUnary) {
-    return EwUnaryWithMode(mode, step.uop, *value, step.scalar, value);
+    return EwUnary(step.uop, *value, step.scalar, value);
   }
   if (other == nullptr) {
     return Status::InvalidArgument(
@@ -27,21 +26,16 @@ Status ApplyEwStep(const EwStep& step, Tile* value, const Tile* other,
   }
   switch (step.operand) {
     case EwStep::Operand::kFull:
-      return step.swapped
-                 ? EwBinaryWithMode(mode, step.bop, *other, *value, value)
-                 : EwBinaryWithMode(mode, step.bop, *value, *other, value);
+      return step.swapped ? EwBinary(step.bop, *other, *value, value)
+                          : EwBinary(step.bop, *value, *other, value);
     case EwStep::Operand::kRowVector:
-      return EwBroadcastWithMode(mode, step.bop, *value, *other,
-                                 /*row_vector=*/true, step.swapped, value);
+      return EwBroadcast(step.bop, *value, *other, /*row_vector=*/true,
+                         step.swapped, value);
     case EwStep::Operand::kColVector:
-      return EwBroadcastWithMode(mode, step.bop, *value, *other,
-                                 /*row_vector=*/false, step.swapped, value);
+      return EwBroadcast(step.bop, *value, *other, /*row_vector=*/false,
+                         step.swapped, value);
   }
   return Status::Internal("unhandled operand kind");
-}
-
-Status ApplyEwStep(const EwStep& step, Tile* value, const Tile* other) {
-  return ApplyEwStep(step, value, other, KernelMode::kAuto);
 }
 
 }  // namespace cumulon

@@ -63,11 +63,6 @@ struct EwStep {
 
 /// Applies `step` to `value` in place. For binary steps `other` must be
 /// non-null and shape-compatible (full or broadcast per step.operand).
-/// `mode` selects the tile-kernel implementation (matrix/kernel_config.h);
-/// element-wise kernels are bit-identical across modes, so this is purely a
-/// performance knob. The two-operand overload uses kAuto.
-Status ApplyEwStep(const EwStep& step, Tile* value, const Tile* other,
-                   KernelMode mode);
 Status ApplyEwStep(const EwStep& step, Tile* value, const Tile* other);
 
 }  // namespace cumulon

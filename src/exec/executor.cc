@@ -11,6 +11,66 @@
 
 namespace cumulon {
 
+namespace {
+
+/// The counter sources whose deltas across one scheduling round land in the
+/// round's JobStats: the engine's tile caches, the steal domain and the
+/// memory-budget group. A source is null when its feature is off, and its
+/// JobStats fields then keep what the engine reported.
+struct RoundCounters {
+  RoundCounters(TileCacheGroup* caches, const StealDomain* steal,
+                const MemoryBudgetGroup* memory_budget)
+      : caches(caches), steal(steal), memory_budget(memory_budget) {
+    if (caches != nullptr) cache_before = caches->TotalStats();
+    if (steal != nullptr) steal_before = steal->stats();
+    if (memory_budget != nullptr) {
+      spill_before = memory_budget->TotalCounters();
+    }
+  }
+
+  /// Folds the deltas since construction into `stats`.
+  void FoldInto(bool real_mode, JobStats* stats) const {
+    if (caches != nullptr) {
+      const TileCacheStats after = caches->TotalStats();
+      stats->cache_hits = after.hits - cache_before.hits;
+      stats->cache_misses = after.misses - cache_before.misses;
+      // Sim-mode cached bytes come from the declared task costs; real-mode
+      // ones are measured at the cache.
+      if (real_mode) {
+        stats->bytes_read_cached = after.hit_bytes - cache_before.hit_bytes;
+      }
+    }
+    if (steal != nullptr) {
+      const StealDomainStats after = steal->stats();
+      stats->splits_enqueued =
+          after.splits_enqueued - steal_before.splits_enqueued;
+      stats->splits_stolen = after.splits_stolen - steal_before.splits_stolen;
+      stats->steal_attempts =
+          after.steal_attempts - steal_before.steal_attempts;
+    }
+    if (memory_budget != nullptr) {
+      const MemoryBudget::Counters after = memory_budget->TotalCounters();
+      stats->spill_evictions = after.evictions - spill_before.evictions;
+      stats->spill_evicted_bytes =
+          after.evicted_bytes - spill_before.evicted_bytes;
+      stats->spill_refetches = after.refetches - spill_before.refetches;
+      stats->spill_refetch_bytes =
+          after.refetch_bytes - spill_before.refetch_bytes;
+      stats->spill_unpinned_reads =
+          after.unpinned_reads - spill_before.unpinned_reads;
+    }
+  }
+
+  TileCacheGroup* const caches;
+  const StealDomain* const steal;
+  const MemoryBudgetGroup* const memory_budget;
+  TileCacheStats cache_before;
+  StealDomainStats steal_before;
+  MemoryBudget::Counters spill_before;
+};
+
+}  // namespace
+
 Executor::Executor(TileStore* store, Engine* engine,
                    const TileOpCostModel* cost, const ExecutorOptions& options)
     : store_(store),
@@ -113,10 +173,7 @@ Result<PlanStats> Executor::Run(const PhysicalPlan& plan) {
   }
   CUMULON_ASSIGN_OR_RETURN(
       PlanStats stats,
-      options_.parallelize_independent_jobs
-          ? RunLeveled(plan, &run_metrics, steal.get(), memory_budget.get())
-          : RunSequential(plan, &run_metrics, steal.get(),
-                          memory_budget.get()));
+      RunRounds(plan, &run_metrics, steal.get(), memory_budget.get()));
   if (TileCacheGroup* caches = engine_->tile_caches()) {
     const TileCacheStats totals = caches->TotalStats();
     metrics_->gauge("cache.resident_bytes")->Set(totals.resident_bytes);
@@ -158,7 +215,6 @@ BuildContext Executor::MakeBuildContext(
   ctx.cost = cost_;
   ctx.attach_work = options_.real_mode;
   ctx.query_locality = options_.query_locality;
-  ctx.kernel_mode = options_.kernel_mode;
   if (options_.real_mode) {
     ctx.prefetch_budget_bytes = options_.prefetch_budget_bytes;
   }
@@ -282,150 +338,80 @@ void Executor::FoldJobStats(const std::string& name, JobStats stats,
   totals->jobs.push_back(JobRecord{name, std::move(stats)});
 }
 
-void Executor::RecordCacheActivity(const TileCacheStats& before,
-                                   JobStats* stats) const {
-  TileCacheGroup* caches = engine_->tile_caches();
-  if (caches == nullptr) return;
-  const TileCacheStats after = caches->TotalStats();
-  stats->cache_hits = after.hits - before.hits;
-  stats->cache_misses = after.misses - before.misses;
-  if (options_.real_mode) {
-    // Sim-mode cached bytes come from the declared task costs; real-mode
-    // ones are measured at the cache.
-    stats->bytes_read_cached = after.hit_bytes - before.hit_bytes;
-  }
-}
-
-void Executor::RecordStealActivity(const StealDomainStats& before,
-                                   const StealDomain* steal,
-                                   JobStats* stats) const {
-  if (steal == nullptr) return;
-  const StealDomainStats after = steal->stats();
-  stats->splits_enqueued = after.splits_enqueued - before.splits_enqueued;
-  stats->splits_stolen = after.splits_stolen - before.splits_stolen;
-  stats->steal_attempts = after.steal_attempts - before.steal_attempts;
-}
-
-void Executor::RecordSpillActivity(const MemoryBudget::Counters& before,
-                                   const MemoryBudgetGroup* memory_budget,
-                                   JobStats* stats) const {
-  if (memory_budget == nullptr) return;
-  const MemoryBudget::Counters after = memory_budget->TotalCounters();
-  stats->spill_evictions = after.evictions - before.evictions;
-  stats->spill_evicted_bytes = after.evicted_bytes - before.evicted_bytes;
-  stats->spill_refetches = after.refetches - before.refetches;
-  stats->spill_refetch_bytes = after.refetch_bytes - before.refetch_bytes;
-  stats->spill_unpinned_reads = after.unpinned_reads - before.unpinned_reads;
-}
-
-Result<PlanStats> Executor::RunSequential(const PhysicalPlan& plan,
-                                          MetricsRegistry* run_metrics,
-                                          StealDomain* steal,
-                                          MemoryBudgetGroup* memory_budget) {
+Result<PlanStats> Executor::RunRounds(const PhysicalPlan& plan,
+                                      MetricsRegistry* run_metrics,
+                                      StealDomain* steal,
+                                      MemoryBudgetGroup* memory_budget) {
   BuildContext ctx = MakeBuildContext(memory_budget);
   ctx.steal = steal;
 
+  // Scheduling rounds: one job each, or, when parallelizing, one per
+  // dependency level. A level's independent jobs merge into one round whose
+  // tasks share the cluster's slots, which is how concurrently submitted
+  // Hadoop jobs behave.
+  const bool leveled = options_.parallelize_independent_jobs;
+  std::vector<std::vector<size_t>> rounds;
+  if (leveled) {
+    const std::vector<int> levels = JobLevels(plan);
+    for (size_t j = 0; j < levels.size(); ++j) {
+      const size_t level = static_cast<size_t>(levels[j]);
+      if (level >= rounds.size()) rounds.resize(level + 1);
+      rounds[level].push_back(j);
+    }
+  } else {
+    for (size_t j = 0; j < plan.jobs.size(); ++j) rounds.push_back({j});
+  }
+
   PlanStats totals;
-  for (const auto& job : plan.jobs) {
+  for (size_t r = 0; r < rounds.size(); ++r) {
     CUMULON_RETURN_IF_ERROR(CheckCancelled());
-    CUMULON_ASSIGN_OR_RETURN(BuiltJob built, job->Build(ctx));
-    const TileCacheStats cache_before =
-        engine_->tile_caches() != nullptr ? engine_->tile_caches()->TotalStats()
-                                          : TileCacheStats{};
-    const StealDomainStats steal_before =
-        steal != nullptr ? steal->stats() : StealDomainStats{};
-    const MemoryBudget::Counters spill_before =
-        memory_budget != nullptr ? memory_budget->TotalCounters()
-                                 : MemoryBudget::Counters{};
-    const JobTraceScope trace = BeginJobTrace(job->name());
-    TagJobSpec(&built.spec, trace.job_id);
-    built.spec.steal_domain = steal;
-    CUMULON_ASSIGN_OR_RETURN(JobStats stats, engine_->RunJob(built.spec));
+    // A one-job round runs the job's spec as built; later jobs of a level
+    // append their tasks to the first one's.
+    JobSpec spec;
+    std::vector<std::vector<TileOutput>> outputs;
+    std::string name;
+    for (size_t j : rounds[r]) {
+      CUMULON_ASSIGN_OR_RETURN(BuiltJob built, plan.jobs[j]->Build(ctx));
+      if (j == rounds[r].front()) {
+        spec = std::move(built.spec);
+        outputs = std::move(built.task_outputs);
+      } else {
+        for (Task& task : built.spec.tasks) {
+          spec.tasks.push_back(std::move(task));
+        }
+        for (auto& outs : built.task_outputs) {
+          outputs.push_back(std::move(outs));
+        }
+        name += "+";
+      }
+      name += plan.jobs[j]->name();
+    }
+    if (leveled) {
+      name = StrCat("level", r, "(", name, ")");
+      spec.name = name;
+    }
+
+    const RoundCounters counters(engine_->tile_caches(), steal,
+                                 memory_budget);
+    const JobTraceScope trace = BeginJobTrace(name);
+    TagJobSpec(&spec, trace.job_id);
+    spec.steal_domain = steal;
+    CUMULON_ASSIGN_OR_RETURN(JobStats stats, engine_->RunJob(spec));
     EndJobTrace(trace, stats);
-    RecordCacheActivity(cache_before, &stats);
-    RecordStealActivity(steal_before, steal, &stats);
-    RecordSpillActivity(spill_before, memory_budget, &stats);
+    counters.FoldInto(options_.real_mode, &stats);
 
     if (!options_.real_mode) {
       // Register output tile placement so later jobs get correct locality.
-      CUMULON_CHECK_EQ(built.task_outputs.size(), stats.task_runs.size());
-      for (size_t t = 0; t < built.task_outputs.size(); ++t) {
+      CUMULON_CHECK_EQ(outputs.size(), stats.task_runs.size());
+      for (size_t t = 0; t < outputs.size(); ++t) {
         const int machine = stats.task_runs[t].machine;
-        for (const TileOutput& out : built.task_outputs[t]) {
+        for (const TileOutput& out : outputs[t]) {
           CUMULON_RETURN_IF_ERROR(
               store_->PutMeta(out.matrix, out.id, out.bytes, machine));
         }
       }
     }
-
-    FoldJobStats(job->name(), std::move(stats), &totals, run_metrics);
-  }
-
-  CUMULON_RETURN_IF_ERROR(DropTemporaries(plan));
-  return totals;
-}
-
-Result<PlanStats> Executor::RunLeveled(const PhysicalPlan& plan,
-                                       MetricsRegistry* run_metrics,
-                                       StealDomain* steal,
-                                       MemoryBudgetGroup* memory_budget) {
-  BuildContext ctx = MakeBuildContext(memory_budget);
-  ctx.steal = steal;
-
-  const std::vector<int> levels = JobLevels(plan);
-  const int max_level =
-      levels.empty() ? -1 : *std::max_element(levels.begin(), levels.end());
-
-  PlanStats totals;
-  for (int level = 0; level <= max_level; ++level) {
-    CUMULON_RETURN_IF_ERROR(CheckCancelled());
-    // Merge this level's independent jobs into one scheduling round: their
-    // tasks share the cluster's slots, which is how concurrently submitted
-    // Hadoop jobs behave.
-    JobSpec merged;
-    std::vector<std::vector<TileOutput>> merged_outputs;
-    std::string level_name;
-    for (size_t j = 0; j < plan.jobs.size(); ++j) {
-      if (levels[j] != level) continue;
-      CUMULON_ASSIGN_OR_RETURN(BuiltJob built, plan.jobs[j]->Build(ctx));
-      for (auto& task : built.spec.tasks) {
-        merged.tasks.push_back(std::move(task));
-      }
-      for (auto& outs : built.task_outputs) {
-        merged_outputs.push_back(std::move(outs));
-      }
-      if (!level_name.empty()) level_name += "+";
-      level_name += plan.jobs[j]->name();
-    }
-    merged.name = StrCat("level", level, "(", level_name, ")");
-
-    const TileCacheStats cache_before =
-        engine_->tile_caches() != nullptr ? engine_->tile_caches()->TotalStats()
-                                          : TileCacheStats{};
-    const StealDomainStats steal_before =
-        steal != nullptr ? steal->stats() : StealDomainStats{};
-    const MemoryBudget::Counters spill_before =
-        memory_budget != nullptr ? memory_budget->TotalCounters()
-                                 : MemoryBudget::Counters{};
-    const JobTraceScope trace = BeginJobTrace(merged.name);
-    TagJobSpec(&merged, trace.job_id);
-    merged.steal_domain = steal;
-    CUMULON_ASSIGN_OR_RETURN(JobStats stats, engine_->RunJob(merged));
-    EndJobTrace(trace, stats);
-    RecordCacheActivity(cache_before, &stats);
-    RecordStealActivity(steal_before, steal, &stats);
-    RecordSpillActivity(spill_before, memory_budget, &stats);
-    if (!options_.real_mode) {
-      CUMULON_CHECK_EQ(merged_outputs.size(), stats.task_runs.size());
-      for (size_t t = 0; t < merged_outputs.size(); ++t) {
-        const int machine = stats.task_runs[t].machine;
-        for (const TileOutput& out : merged_outputs[t]) {
-          CUMULON_RETURN_IF_ERROR(
-              store_->PutMeta(out.matrix, out.id, out.bytes, machine));
-        }
-      }
-    }
-    FoldJobStats(merged.name, std::move(stats), &totals, run_metrics);
+    FoldJobStats(name, std::move(stats), &totals, run_metrics);
   }
 
   CUMULON_RETURN_IF_ERROR(DropTemporaries(plan));

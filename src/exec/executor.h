@@ -10,7 +10,6 @@
 #include "cost/cost_model.h"
 #include "exec/memory_budget.h"
 #include "exec/physical_plan.h"
-#include "matrix/kernel_config.h"
 #include "matrix/tile_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,7 +18,6 @@ namespace cumulon {
 
 class SlotPool;      // sched/slot_pool.h
 class StealDomain;   // cluster/steal_domain.h
-struct StealDomainStats;
 
 struct ExecutorOptions {
   /// true: attach work closures and actually compute tiles (RealEngine).
@@ -51,21 +49,14 @@ struct ExecutorOptions {
   /// like stock Hadoop's job queue (ablation A3 measures the difference).
   bool parallelize_independent_jobs = false;
 
-  /// Which tile-kernel implementation task bodies run (matrix/
-  /// kernel_config.h): kAuto dispatches to the packed AVX2+FMA kernel via
-  /// CPUID (honoring the CUMULON_KERNEL env override), kScalar forces the
-  /// bit-exact oracle. Gemm results under kSimd/kAuto keep a fixed
-  /// (ascending-k) accumulation order but use FMA rounding, so they are
-  /// tolerance-equal — not bit-equal — to kScalar runs; element-wise and
-  /// column-aggregate kernels are bit-identical across modes.
-  KernelMode kernel_mode = KernelMode::kAuto;
-
-  /// Intra-job split-level work stealing (cluster/steal_domain.h): task
-  /// bodies publish their block-splits to per-slot deques and idle workers
-  /// steal from the tail, shaving intra-job stragglers. Off by default:
-  /// with stealing on, each split reads its inputs through its own
-  /// prefetch reader (the per-task reader is single-threaded), so tasks
-  /// whose splits share input tiles forgo task-level read memoization.
+  /// Intra-job split-level work stealing (cluster/steal_domain.h). It picks
+  /// the branch of the one split runner every task body goes through
+  /// (RunTaskUnits in exec/physical_job.cc). Off: a task runs its splits
+  /// itself through one task-wide prefetch reader with a read memo. On:
+  /// the task publishes its splits to per-slot deques and idle workers
+  /// steal from the tail, shaving intra-job stragglers; each split reads
+  /// through its own reader (a reader is single-threaded), so splits that
+  /// share input tiles forgo task-level read memoization. Off by default.
   /// Results are bit-identical either way — splits write disjoint tiles.
   /// Real mode only.
   bool enable_work_stealing = false;
@@ -223,14 +214,12 @@ class Executor {
     double offset_before = 0.0;
   };
 
-  Result<PlanStats> RunSequential(const PhysicalPlan& plan,
-                                  MetricsRegistry* run_metrics,
-                                  StealDomain* steal,
-                                  MemoryBudgetGroup* memory_budget);
-  Result<PlanStats> RunLeveled(const PhysicalPlan& plan,
-                               MetricsRegistry* run_metrics,
-                               StealDomain* steal,
-                               MemoryBudgetGroup* memory_budget);
+  /// Runs the plan's jobs in scheduling rounds: one job per round, or one
+  /// dependency level per round under parallelize_independent_jobs.
+  Result<PlanStats> RunRounds(const PhysicalPlan& plan,
+                              MetricsRegistry* run_metrics,
+                              StealDomain* steal,
+                              MemoryBudgetGroup* memory_budget);
   Status DropTemporaries(const PhysicalPlan& plan);
 
   /// Status::Cancelled when options_.cancel has flipped, OK otherwise.
@@ -248,21 +237,6 @@ class Executor {
   /// Bytes of the per-node budget standing behind the engine's tile cache
   /// (0 when caching is off).
   int64_t CacheReserveBytes() const;
-
-  /// Folds the engine's cache-counter delta across one job into `stats`.
-  void RecordCacheActivity(const TileCacheStats& before,
-                           JobStats* stats) const;
-
-  /// Folds the steal domain's counter delta across one job into `stats`
-  /// (no-op when stealing is off).
-  void RecordStealActivity(const StealDomainStats& before,
-                           const StealDomain* steal, JobStats* stats) const;
-
-  /// Folds the memory-budget group's spill-counter delta across one job
-  /// into `stats` (no-op when unbudgeted).
-  void RecordSpillActivity(const MemoryBudget::Counters& before,
-                           const MemoryBudgetGroup* memory_budget,
-                           JobStats* stats) const;
 
   /// Opens the job span (after a sim-mode startup span) so the engine's
   /// task spans nest under it.

@@ -106,7 +106,7 @@ void HintEwStepOperands(const std::vector<EwStep>& steps,
 /// vectors recur for every output tile, and the memo turns those repeats
 /// into local-memory lookups instead of cache-lock round trips.
 Status RunEwSteps(const std::vector<EwStep>& steps, TaskTileReader* reader,
-                  TileId id, Tile* value, KernelMode mode) {
+                  TileId id, Tile* value) {
   for (const EwStep& step : steps) {
     std::shared_ptr<const Tile> other;
     if (step.kind == EwStep::Kind::kBinary) {
@@ -114,9 +114,65 @@ Status RunEwSteps(const std::vector<EwStep>& steps, TaskTileReader* reader,
           other,
           reader->ReadMemoized(step.other_matrix, OperandTileId(step, id)));
     }
-    CUMULON_RETURN_IF_ERROR(ApplyEwStep(step, value, other.get(), mode));
+    CUMULON_RETURN_IF_ERROR(ApplyEwStep(step, value, other.get()));
   }
   return Status::OK();
+}
+
+/// What a task body's readers need, captured once per task.
+struct TaskIo {
+  TileStore* store = nullptr;
+  std::string task_name;
+  int64_t prefetch_budget_bytes = 0;
+  StealDomain* steal = nullptr;
+  MemoryBudgetGroup* memory_budget = nullptr;
+  int64_t task_pin_bytes = 0;
+};
+
+TaskIo MakeTaskIo(const BuildContext& ctx, const std::string& task_name) {
+  return TaskIo{ctx.store,  task_name,         ctx.prefetch_budget_bytes,
+                ctx.steal,  ctx.memory_budget, ctx.task_pin_bytes};
+}
+
+/// The one split runner behind every job body. A unit is one block-split
+/// of the task (an output tile or stripe); units write disjoint tiles, so
+/// results do not depend on who runs them.
+///  - No steal domain: one task-wide double-buffered reader. Every unit's
+///    reads are hinted in compute order first, then the units compute, so
+///    unit n+1's tiles download while unit n computes, and tiles that
+///    recur across units are served by the reader's memo (under a memory
+///    budget, by the pin window: older panels spill and stream back in).
+///  - Steal domain: each unit is published as a split through a
+///    TaskSplitScope. Each split opens its own reader (TaskTileReader is
+///    single-threaded), so stolen splits prefetch and read wherever they
+///    execute; the split lambdas capture this frame by reference, which
+///    RunAndWait keeps alive until every split has run.
+template <typename Unit, typename HintFn, typename ComputeFn>
+Status RunTaskUnits(const TaskIo& io, int machine,
+                    const std::vector<Unit>& units, const HintFn& hint,
+                    const ComputeFn& compute) {
+  MemoryBudget* const ledger = io.memory_budget != nullptr
+                                   ? io.memory_budget->node(machine)
+                                   : nullptr;
+  if (io.steal == nullptr) {
+    TaskTileReader reader(io.store, machine, io.prefetch_budget_bytes, ledger,
+                          io.task_pin_bytes);
+    for (const Unit& unit : units) hint(&reader, unit);
+    for (const Unit& unit : units) {
+      CUMULON_RETURN_IF_ERROR(compute(&reader, unit));
+    }
+    return Status::OK();
+  }
+  TaskSplitScope scope(io.steal, io.task_name, machine);
+  for (const Unit& unit : units) {
+    scope.Add([&, unit]() -> Status {
+      TaskTileReader reader(io.store, machine, io.prefetch_budget_bytes,
+                            ledger, io.task_pin_bytes);
+      hint(&reader, unit);
+      return compute(&reader, unit);
+    });
+  }
+  return scope.RunAndWait();
 }
 
 void MergePreferred(std::vector<int>* dst, const std::vector<int>& src,
@@ -348,7 +404,6 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
 
         // --- Real-mode work closure ---
         if (ctx.attach_work) {
-          TileStore* store = ctx.store;
           // Capture everything by value; the job object may not outlive
           // the engine run in all call patterns.
           const TiledMatrix a = a_;
@@ -356,21 +411,20 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
           const TileLayout out_layout = lc;
           const std::vector<EwStep> epilogue =
               apply_epilogue ? epilogue_ : std::vector<EwStep>{};
-          const int64_t budget = ctx.prefetch_budget_bytes;
-          StealDomain* const steal = ctx.steal;
-          const KernelMode kmode = ctx.kernel_mode;
-          MemoryBudgetGroup* const mem = ctx.memory_budget;
-          const int64_t pin_bytes = ctx.task_pin_bytes;
-          task.work = [store, a, b, out_layout, out_name, epilogue, ib, i1,
-                       jb, j1, k0, k1, budget, steal, kmode, mem, pin_bytes,
-                       task_name = task.name](int machine) -> Status {
-            MemoryBudget* const ledger =
-                mem != nullptr ? mem->node(machine) : nullptr;
-            // One unit of work = one output tile (i,j): fold its k range,
-            // run the epilogue, write the tile. Units write disjoint
-            // tiles, so results do not depend on who executes them.
-            auto hint_unit = [&](TaskTileReader* reader, int64_t i,
-                                 int64_t j) {
+          // One unit of work = one output tile (i,j): fold its k range,
+          // run the epilogue, write the tile. A and B tiles recur across
+          // the block (A per j, B per i), so they go through the memo,
+          // which bounds the task's live set to exactly the bi*bk + bk*bj
+          // tiles TaskMemoryBytes budgets for.
+          std::vector<TileId> units;
+          for (int64_t i = ib; i < i1; ++i) {
+            for (int64_t j = jb; j < j1; ++j) units.push_back(TileId{i, j});
+          }
+          task.work = [io = MakeTaskIo(ctx, task.name), a, b, out_layout,
+                       out_name, epilogue, units, k0,
+                       k1](int machine) -> Status {
+            auto hint_unit = [&](TaskTileReader* reader, const TileId& u) {
+              const int64_t i = u.row, j = u.col;
               for (int64_t k = k0; k < k1; ++k) {
                 reader->Hint(a.name, TileId{i, k},
                              TileBytes(a.layout, i, k));
@@ -379,8 +433,9 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
               }
               HintEwStepOperands(epilogue, out_layout, TileId{i, j}, reader);
             };
-            auto compute_unit = [&](TaskTileReader* reader, int64_t i,
-                                    int64_t j) -> Status {
+            auto compute_unit = [&](TaskTileReader* reader,
+                                    const TileId& u) -> Status {
+              const int64_t i = u.row, j = u.col;
               Tile acc(out_layout.TileRowsAt(i), out_layout.TileColsAt(j));
               const TaskTileReader::ScratchReservation scratch =
                   reader->PinScratch(acc.MemoryBytes());
@@ -391,53 +446,15 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
                 CUMULON_ASSIGN_OR_RETURN(
                     std::shared_ptr<const Tile> tb,
                     reader->ReadMemoized(b.name, TileId{k, j}));
-                CUMULON_RETURN_IF_ERROR(
-                    GemmWithMode(kmode, *ta, *tb, 1.0, 1.0, &acc));
+                CUMULON_RETURN_IF_ERROR(Gemm(*ta, *tb, 1.0, 1.0, &acc));
               }
-              CUMULON_RETURN_IF_ERROR(RunEwSteps(epilogue, reader,
-                                                 TileId{i, j}, &acc, kmode));
-              return store->Put(out_name, TileId{i, j},
-                                std::make_shared<Tile>(std::move(acc)),
-                                machine);
+              CUMULON_RETURN_IF_ERROR(
+                  RunEwSteps(epilogue, reader, TileId{i, j}, &acc));
+              return io.store->Put(out_name, TileId{i, j},
+                                   std::make_shared<Tile>(std::move(acc)),
+                                   machine);
             };
-            if (steal == nullptr) {
-              // Classic path: one task-wide double-buffered reader. Hint
-              // every read in compute order, then compute — output block
-              // (i,j+1)'s tiles download while (i,j) multiplies. A and B
-              // tiles recur across the block (A per j, B per i), so they
-              // go through the memo, which bounds the task's live set to
-              // exactly the bi*bk + bk*bj tiles TaskMemoryBytes budgets
-              // for (or, under a memory budget, to the pin window — older
-              // panels spill and stream back in).
-              TaskTileReader reader(store, machine, budget, ledger,
-                                    pin_bytes);
-              for (int64_t i = ib; i < i1; ++i) {
-                for (int64_t j = jb; j < j1; ++j) hint_unit(&reader, i, j);
-              }
-              for (int64_t i = ib; i < i1; ++i) {
-                for (int64_t j = jb; j < j1; ++j) {
-                  CUMULON_RETURN_IF_ERROR(compute_unit(&reader, i, j));
-                }
-              }
-              return Status::OK();
-            }
-            // Stealing path: publish one split per output tile. Each split
-            // opens its own reader (TaskTileReader is single-threaded), so
-            // stolen splits prefetch and read wherever they execute; the
-            // lambdas capture this frame by reference, which RunAndWait
-            // keeps alive until every split has run.
-            TaskSplitScope scope(steal, task_name, machine);
-            for (int64_t i = ib; i < i1; ++i) {
-              for (int64_t j = jb; j < j1; ++j) {
-                scope.Add([&, i, j]() -> Status {
-                  TaskTileReader reader(store, machine, budget, ledger,
-                                        pin_bytes);
-                  hint_unit(&reader, i, j);
-                  return compute_unit(&reader, i, j);
-                });
-              }
-            }
-            return scope.RunAndWait();
+            return RunTaskUnits(io, machine, units, hint_unit, compute_unit);
           };
         }
 
@@ -511,21 +528,12 @@ Result<BuiltJob> SumJob::Build(const BuildContext& ctx) const {
     }
 
     if (ctx.attach_work) {
-      TileStore* store = ctx.store;
       const std::vector<std::string> parts = parts_;
       const std::string out_name = out_.name;
       const TileLayout out_layout = lc;
       const std::vector<EwStep> epilogue = epilogue_;
-      const int64_t budget = ctx.prefetch_budget_bytes;
-      StealDomain* const steal = ctx.steal;
-      const KernelMode kmode = ctx.kernel_mode;
-      MemoryBudgetGroup* const mem = ctx.memory_budget;
-      const int64_t pin_bytes = ctx.task_pin_bytes;
-      task.work = [store, parts, out_name, out_layout, epilogue, group,
-                   budget, steal, kmode, mem, pin_bytes,
-                   task_name = task.name](int machine) -> Status {
-        MemoryBudget* const ledger =
-            mem != nullptr ? mem->node(machine) : nullptr;
+      task.work = [io = MakeTaskIo(ctx, task.name), parts, out_name,
+                   out_layout, epilogue, group](int machine) -> Status {
         auto hint_unit = [&](TaskTileReader* reader, const TileId& id) {
           for (const std::string& part : parts) {
             reader->Hint(part, id, TileBytes(out_layout, id.row, id.col));
@@ -541,30 +549,14 @@ Result<BuiltJob> SumJob::Build(const BuildContext& ctx) const {
           for (const std::string& part : parts) {
             CUMULON_ASSIGN_OR_RETURN(std::shared_ptr<const Tile> t,
                                      reader->Read(part, id));
-            CUMULON_RETURN_IF_ERROR(AccumulateIntoWithMode(kmode, *t, &acc));
+            CUMULON_RETURN_IF_ERROR(AccumulateInto(*t, &acc));
           }
-          CUMULON_RETURN_IF_ERROR(
-              RunEwSteps(epilogue, reader, id, &acc, kmode));
-          return store->Put(out_name, id,
-                            std::make_shared<Tile>(std::move(acc)), machine);
+          CUMULON_RETURN_IF_ERROR(RunEwSteps(epilogue, reader, id, &acc));
+          return io.store->Put(out_name, id,
+                               std::make_shared<Tile>(std::move(acc)),
+                               machine);
         };
-        if (steal == nullptr) {
-          TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-          for (const TileId& id : group) hint_unit(&reader, id);
-          for (const TileId& id : group) {
-            CUMULON_RETURN_IF_ERROR(compute_unit(&reader, id));
-          }
-          return Status::OK();
-        }
-        TaskSplitScope scope(steal, task_name, machine);
-        for (const TileId& id : group) {
-          scope.Add([&, id]() -> Status {
-            TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-            hint_unit(&reader, id);
-            return compute_unit(&reader, id);
-          });
-        }
-        return scope.RunAndWait();
+        return RunTaskUnits(io, machine, group, hint_unit, compute_unit);
       };
     }
 
@@ -630,21 +622,12 @@ Result<BuiltJob> EwChainJob::Build(const BuildContext& ctx) const {
     }
 
     if (ctx.attach_work) {
-      TileStore* store = ctx.store;
       const std::string in_name = in_.name;
       const std::string out_name = out_.name;
       const TileLayout out_layout = lc;
       const std::vector<EwStep> steps = steps_;
-      const int64_t budget = ctx.prefetch_budget_bytes;
-      StealDomain* const steal = ctx.steal;
-      const KernelMode kmode = ctx.kernel_mode;
-      MemoryBudgetGroup* const mem = ctx.memory_budget;
-      const int64_t pin_bytes = ctx.task_pin_bytes;
-      task.work = [store, in_name, out_name, out_layout, steps, group,
-                   budget, steal, kmode, mem, pin_bytes,
-                   task_name = task.name](int machine) -> Status {
-        MemoryBudget* const ledger =
-            mem != nullptr ? mem->node(machine) : nullptr;
+      task.work = [io = MakeTaskIo(ctx, task.name), in_name, out_name,
+                   out_layout, steps, group](int machine) -> Status {
         auto hint_unit = [&](TaskTileReader* reader, const TileId& id) {
           reader->Hint(in_name, id, TileBytes(out_layout, id.row, id.col));
           HintEwStepOperands(steps, out_layout, id, reader);
@@ -658,29 +641,12 @@ Result<BuiltJob> EwChainJob::Build(const BuildContext& ctx) const {
           // still alive in `t`.
           const TaskTileReader::ScratchReservation scratch =
               reader->PinScratch(2 * value.MemoryBytes());
-          CUMULON_RETURN_IF_ERROR(
-              RunEwSteps(steps, reader, id, &value, kmode));
-          return store->Put(out_name, id,
-                            std::make_shared<Tile>(std::move(value)),
-                            machine);
+          CUMULON_RETURN_IF_ERROR(RunEwSteps(steps, reader, id, &value));
+          return io.store->Put(out_name, id,
+                               std::make_shared<Tile>(std::move(value)),
+                               machine);
         };
-        if (steal == nullptr) {
-          TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-          for (const TileId& id : group) hint_unit(&reader, id);
-          for (const TileId& id : group) {
-            CUMULON_RETURN_IF_ERROR(compute_unit(&reader, id));
-          }
-          return Status::OK();
-        }
-        TaskSplitScope scope(steal, task_name, machine);
-        for (const TileId& id : group) {
-          scope.Add([&, id]() -> Status {
-            TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-            hint_unit(&reader, id);
-            return compute_unit(&reader, id);
-          });
-        }
-        return scope.RunAndWait();
+        return RunTaskUnits(io, machine, group, hint_unit, compute_unit);
       };
     }
 
@@ -781,23 +747,17 @@ Result<BuiltJob> AggregateJob::Build(const BuildContext& ctx) const {
     }
 
     if (ctx.attach_work) {
-      TileStore* store = ctx.store;
       const std::string in_name = in_.name;
       const std::string out_name = out_.name;
       const TileLayout in_layout = li;
       const TileLayout out_layout = lo;
       const std::vector<EwStep> epilogue = epilogue_;
       const bool rows_mode = row_sums;
-      const int64_t budget = ctx.prefetch_budget_bytes;
-      StealDomain* const steal = ctx.steal;
-      const KernelMode kmode = ctx.kernel_mode;
-      MemoryBudgetGroup* const mem = ctx.memory_budget;
-      const int64_t pin_bytes = ctx.task_pin_bytes;
-      task.work = [store, in_name, out_name, in_layout, out_layout, epilogue,
-                   rows_mode, s0, s1, cross, budget, steal, kmode, mem,
-                   pin_bytes, task_name = task.name](int machine) -> Status {
-        MemoryBudget* const ledger =
-            mem != nullptr ? mem->node(machine) : nullptr;
+      std::vector<int64_t> stripes;
+      for (int64_t s = s0; s < s1; ++s) stripes.push_back(s);
+      task.work = [io = MakeTaskIo(ctx, task.name), in_name, out_name,
+                   in_layout, out_layout, epilogue, rows_mode, stripes,
+                   cross](int machine) -> Status {
         // One unit = one output stripe s (row sums: grid row; col sums:
         // grid column), reading its full cross range of input tiles.
         auto hint_unit = [&](TaskTileReader* reader, int64_t s) {
@@ -833,33 +793,17 @@ Result<BuiltJob> AggregateJob::Build(const BuildContext& ctx) const {
                                        reader->Read(in_name, in_id));
               CUMULON_RETURN_IF_ERROR(
                   rows_mode ? RowSumsPartialInto(*t, &partial)
-                            : ColSumsIntoWithMode(kmode, *t, &partial));
+                            : ColSumsInto(*t, &partial));
             }
-            CUMULON_RETURN_IF_ERROR(
-                CombineAggPartialWithMode(kmode, partial, &acc));
+            CUMULON_RETURN_IF_ERROR(CombineAggPartial(partial, &acc));
           }
           CUMULON_RETURN_IF_ERROR(
-              RunEwSteps(epilogue, reader, out_id, &acc, kmode));
-          return store->Put(out_name, out_id,
-                            std::make_shared<Tile>(std::move(acc)), machine);
+              RunEwSteps(epilogue, reader, out_id, &acc));
+          return io.store->Put(out_name, out_id,
+                               std::make_shared<Tile>(std::move(acc)),
+                               machine);
         };
-        if (steal == nullptr) {
-          TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-          for (int64_t s = s0; s < s1; ++s) hint_unit(&reader, s);
-          for (int64_t s = s0; s < s1; ++s) {
-            CUMULON_RETURN_IF_ERROR(compute_unit(&reader, s));
-          }
-          return Status::OK();
-        }
-        TaskSplitScope scope(steal, task_name, machine);
-        for (int64_t s = s0; s < s1; ++s) {
-          scope.Add([&, s]() -> Status {
-            TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-            hint_unit(&reader, s);
-            return compute_unit(&reader, s);
-          });
-        }
-        return scope.RunAndWait();
+        return RunTaskUnits(io, machine, stripes, hint_unit, compute_unit);
       };
     }
 
@@ -923,19 +867,11 @@ Result<BuiltJob> TransposeJob::Build(const BuildContext& ctx) const {
     }
 
     if (ctx.attach_work) {
-      TileStore* store = ctx.store;
       const std::string in_name = in_.name;
       const std::string out_name = out_.name;
       const TileLayout out_layout = lc;
-      const int64_t budget = ctx.prefetch_budget_bytes;
-      StealDomain* const steal = ctx.steal;
-      MemoryBudgetGroup* const mem = ctx.memory_budget;
-      const int64_t pin_bytes = ctx.task_pin_bytes;
-      task.work = [store, in_name, out_name, out_layout, group, budget,
-                   steal, mem, pin_bytes,
-                   task_name = task.name](int machine) -> Status {
-        MemoryBudget* const ledger =
-            mem != nullptr ? mem->node(machine) : nullptr;
+      task.work = [io = MakeTaskIo(ctx, task.name), in_name, out_name,
+                   out_layout, group](int machine) -> Status {
         auto hint_unit = [&](TaskTileReader* reader, const TileId& id) {
           // Input tile (j,i) has the transposed shape of output (i,j),
           // which is the same serialized size.
@@ -953,27 +889,11 @@ Result<BuiltJob> TransposeJob::Build(const BuildContext& ctx) const {
           const TaskTileReader::ScratchReservation scratch =
               reader->PinScratch(2 * out_tile.MemoryBytes());
           CUMULON_RETURN_IF_ERROR(TransposeTile(*t, &out_tile));
-          return store->Put(out_name, id,
-                            std::make_shared<Tile>(std::move(out_tile)),
-                            machine);
+          return io.store->Put(out_name, id,
+                               std::make_shared<Tile>(std::move(out_tile)),
+                               machine);
         };
-        if (steal == nullptr) {
-          TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-          for (const TileId& id : group) hint_unit(&reader, id);
-          for (const TileId& id : group) {
-            CUMULON_RETURN_IF_ERROR(compute_unit(&reader, id));
-          }
-          return Status::OK();
-        }
-        TaskSplitScope scope(steal, task_name, machine);
-        for (const TileId& id : group) {
-          scope.Add([&, id]() -> Status {
-            TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-            hint_unit(&reader, id);
-            return compute_unit(&reader, id);
-          });
-        }
-        return scope.RunAndWait();
+        return RunTaskUnits(io, machine, group, hint_unit, compute_unit);
       };
     }
 

@@ -10,7 +10,6 @@
 #include "common/result.h"
 #include "cost/cost_model.h"
 #include "exec/ew_step.h"
-#include "matrix/kernel_config.h"
 #include "matrix/tile_store.h"
 #include "matrix/tiled_matrix.h"
 
@@ -26,17 +25,11 @@ struct BuildContext {
   bool attach_work = true;               // false for simulation-only plans
   bool query_locality = true;            // consult store->PreferredNodes
 
-  /// Kernel implementation the task bodies pass to the *WithMode tile ops
-  /// (matrix/kernel_config.h): kAuto = packed SIMD when the CPU has it,
-  /// kScalar = the bit-exact oracle. The executor fills it from
-  /// ExecutorOptions::kernel_mode.
-  KernelMode kernel_mode = KernelMode::kAuto;
-
   /// Intra-job work stealing (cluster/steal_domain.h). When non-null, task
-  /// bodies publish their block-splits through a TaskSplitScope instead of
-  /// running them inline, so idle workers can steal straggler splits.
-  /// Borrowed from the executor; null = splits run inline (exact classic
-  /// behavior, including task-level read memoization).
+  /// bodies publish their block-splits through a TaskSplitScope, so idle
+  /// workers can steal straggler splits. Borrowed from the executor; null =
+  /// each task runs its splits itself through one task-wide reader (with
+  /// task-level read memoization).
   StealDomain* steal = nullptr;
 
   /// Node-local tile-cache budget per machine (0 = caching off) and the

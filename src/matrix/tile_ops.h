@@ -46,8 +46,7 @@ double ApplyUnary(UnaryOp op, double x, double scalar);
 /// by FMA's fused rounding.
 Status Gemm(const Tile& a, const Tile& b, double alpha, double beta, Tile* c);
 
-/// Gemm through an explicit kernel mode (executor plumbing / tests /
-/// benches). kSimd falls back to scalar when the CPU lacks AVX2+FMA.
+/// Gemm through an explicit kernel mode (tests / benches). kSimd falls back to scalar when the CPU lacks AVX2+FMA.
 Status GemmWithMode(KernelMode mode, const Tile& a, const Tile& b,
                     double alpha, double beta, Tile* c);
 
@@ -86,29 +85,21 @@ Status TransposeTile(const Tile& a, Tile* out);
 Status AccumulateInto(const Tile& x, Tile* acc);
 Status AccumulateIntoWithMode(KernelMode mode, const Tile& x, Tile* acc);
 
-/// Sum of all elements. The plain entry points below resolve
-/// ReduceMode::kAuto (kernel_config.h): the strictly ordered fold unless
-/// CUMULON_REDUCE=fast opts the process into the reorder-tolerant
-/// multi-accumulator path.
+/// Sum of all elements, folded in ascending index order.
 double TileSum(const Tile& t);
-double TileSumWithMode(ReduceMode mode, const Tile& t);
 
-/// acc[r] += sum_c t(r, c): folds a tile into a rows x 1 accumulator.
+/// acc[r] += sum_c t(r, c): folds a tile into a rows x 1 accumulator, each
+/// row in ascending column order.
 Status RowSumsInto(const Tile& t, Tile* acc);
-Status RowSumsIntoWithMode(ReduceMode mode, const Tile& t, Tile* acc);
 
 /// acc[c] += sum_r t(r, c): folds a tile into a 1 x cols accumulator.
 /// Vectorized over columns when AVX2 is available — each accumulator
 /// element still receives rows in ascending order, so bit-identical.
-/// (RowSumsInto / TileSum / FrobeniusNorm reduce *within* a row, so
-/// speeding them up necessarily reorders additions — that lives behind
-/// the opt-in ReduceMode::kFast / CUMULON_REDUCE=fast path above.)
 Status ColSumsInto(const Tile& t, Tile* acc);
 Status ColSumsIntoWithMode(KernelMode mode, const Tile& t, Tile* acc);
 
 /// Frobenius norm.
 double FrobeniusNorm(const Tile& t);
-double FrobeniusNormWithMode(ReduceMode mode, const Tile& t);
 
 // --- Chunk-level partial aggregates (out-of-core streaming) ---------------
 //
@@ -131,8 +122,6 @@ Status RowSumsPartialInto(const Tile& t, Tile* partial);
 /// acc += partial element-wise, one IEEE add per element, no FMA — so the
 /// left-to-right combine order fully determines the result bits.
 Status CombineAggPartial(const Tile& partial, Tile* acc);
-Status CombineAggPartialWithMode(KernelMode mode, const Tile& partial,
-                                 Tile* acc);
 
 /// max_i |a[i] - b[i]|; returns an error if shapes differ.
 Result<double> MaxAbsDiff(const Tile& a, const Tile& b);

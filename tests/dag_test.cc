@@ -123,7 +123,13 @@ TEST(LeveledExecutionTest, RealModeProducesIdenticalResults) {
   TileOpCostModel cost;
   ExecutorOptions seq_options;
   Executor seq(&store_seq, &engine1, &cost, seq_options);
-  ASSERT_TRUE(seq.Run(lowered_seq.plan).ok());
+  auto seq_stats = seq.Run(lowered_seq.plan);
+  ASSERT_TRUE(seq_stats.ok()) << seq_stats.status();
+  // A sequential round is one job and keeps that job's name.
+  ASSERT_EQ(seq_stats->jobs.size(), lowered_seq.plan.jobs.size());
+  for (size_t j = 0; j < seq_stats->jobs.size(); ++j) {
+    EXPECT_EQ(seq_stats->jobs[j].name, lowered_seq.plan.jobs[j]->name());
+  }
 
   // Leveled run over identical inputs.
   InMemoryTileStore store_par;
@@ -140,6 +146,8 @@ TEST(LeveledExecutionTest, RealModeProducesIdenticalResults) {
   ASSERT_TRUE(par_stats.ok()) << par_stats.status();
   // Fewer scheduling rounds than jobs: some level really merged two jobs.
   EXPECT_LT(par_stats->jobs.size(), lowered_par.plan.jobs.size());
+  EXPECT_EQ(par_stats->jobs.front().name.rfind("level0(", 0), 0u)
+      << par_stats->jobs.front().name;
 
   for (const char* target : {"H", "W"}) {
     auto seq_out = LoadDense(lowered_seq.outputs.at(target), &store_seq);

@@ -92,28 +92,6 @@ TEST(StealDomainTest, HelperDrainStealsFromBusyOwner) {
   EXPECT_GE(stats.steal_attempts, stats.splits_stolen);
 }
 
-TEST(StealDomainTest, NullDomainScopeRunsInlineAndStopsOnError) {
-  // With no domain attached, Add executes immediately and later splits are
-  // skipped after the first failure — the classic non-stealing task body.
-  int ran = 0;
-  TaskSplitScope scope(nullptr, "inline", 0);
-  scope.Add([&ran]() -> Status {
-    ++ran;
-    return Status::OK();
-  });
-  scope.Add([&ran]() -> Status {
-    ++ran;
-    return Status::Internal("first failure");
-  });
-  scope.Add([&ran]() -> Status {
-    ++ran;  // must not run
-    return Status::OK();
-  });
-  const Status s = scope.RunAndWait();
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(ran, 2);
-}
-
 TEST(StealDomainTest, ConcurrentScopesShareOneDomain) {
   // Two tasks publishing into one domain concurrently: each scope's
   // RunAndWait must only account for its own splits.
@@ -260,6 +238,154 @@ TEST_F(StealExecTest, EwChainMatchesReferenceUnderStealing) {
     }
   }
 }
+
+
+// ---------------------------------------------------------------------------
+// Both branches of the task bodies' split runner on every job kind: one
+// task-wide reader (stealing off) vs one published split per unit
+// (stealing on). Every case has tasks of several units.
+// ---------------------------------------------------------------------------
+
+TiledMatrix Square48(const char* name) {
+  return TiledMatrix{name, TileLayout::Square(48, 48, 16)};
+}
+
+/// One job kind: appends its job(s) over inputs A, B and D (48x48, 3x3
+/// tiles) to `plan` and returns the matrix they write.
+struct RunnerCase {
+  const char* name;
+  TiledMatrix (*add)(PhysicalPlan* plan);
+};
+
+/// Runs `c` on a fresh store and engine, so that names, and hence error
+/// messages, are the same in both modes. With `hole`, tile (1,1) of A is
+/// missing. Returns the output or the run's error.
+Result<DenseMatrix> RunCase(const RunnerCase& c, bool stealing, bool hole) {
+  InMemoryTileStore store;
+  Rng rng(42);
+  const TiledMatrix staged = Square48("A_staged");
+  CUMULON_RETURN_IF_ERROR(
+      StoreDense(DenseMatrix::Gaussian(48, 48, &rng), staged, &store));
+  for (int64_t r = 0; r < 3; ++r) {
+    for (int64_t col = 0; col < 3; ++col) {
+      if (hole && r == 1 && col == 1) continue;
+      CUMULON_ASSIGN_OR_RETURN(std::shared_ptr<const Tile> tile,
+                               store.Get(staged.name, TileId{r, col}, -1));
+      CUMULON_RETURN_IF_ERROR(store.Put("A", TileId{r, col}, tile, -1));
+    }
+  }
+  for (const char* name : {"B", "D"}) {
+    CUMULON_RETURN_IF_ERROR(StoreDense(DenseMatrix::Gaussian(48, 48, &rng),
+                                       Square48(name), &store));
+  }
+  PhysicalPlan plan;
+  const TiledMatrix out = c.add(&plan);
+  RealEngine engine(ClusterConfig{MachineProfile{}, 2, 2},
+                    RealEngineOptions{});
+  TileOpCostModel cost;
+  ExecutorOptions options;
+  options.enable_work_stealing = stealing;
+  Executor executor(&store, &engine, &cost, options);
+  CUMULON_RETURN_IF_ERROR(executor.Run(plan).status());
+  return LoadDense(out, &store);
+}
+
+void PrintTo(const RunnerCase& c, std::ostream* os) { *os << c.name; }
+
+class StealExecRunnerTest : public ::testing::TestWithParam<RunnerCase> {};
+
+TEST_P(StealExecRunnerTest, StealingOnAndOffAgreeOnOutputAndErrors) {
+  auto plain = RunCase(GetParam(), /*stealing=*/false, /*hole=*/false);
+  auto steal = RunCase(GetParam(), /*stealing=*/true, /*hole=*/false);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  ASSERT_TRUE(steal.ok()) << steal.status();
+  ASSERT_EQ(plain->rows(), steal->rows());
+  ASSERT_EQ(plain->cols(), steal->cols());
+  for (int64_t r = 0; r < plain->rows(); ++r) {
+    for (int64_t c = 0; c < plain->cols(); ++c) {
+      ASSERT_EQ(plain->At(r, c), steal->At(r, c)) << "(" << r << "," << c
+                                                  << ")";
+    }
+  }
+
+  auto plain_err = RunCase(GetParam(), /*stealing=*/false, /*hole=*/true);
+  auto steal_err = RunCase(GetParam(), /*stealing=*/true, /*hole=*/true);
+  ASSERT_FALSE(plain_err.ok());
+  ASSERT_FALSE(steal_err.ok());
+  EXPECT_EQ(plain_err.status().code(), StatusCode::kNotFound)
+      << plain_err.status();
+  EXPECT_EQ(plain_err.status().code(), steal_err.status().code());
+  EXPECT_EQ(plain_err.status().message(), steal_err.status().message());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    JobKinds, StealExecRunnerTest,
+    ::testing::Values(
+        RunnerCase{"MatMulEpilogue",
+                   [](PhysicalPlan* plan) {
+                     const TiledMatrix out = Square48("Out");
+                     CUMULON_CHECK(AddMatMul(Square48("A"), Square48("B"),
+                                             out, MatMulParams{3, 3, 0},
+                                             {EwStep::Binary(BinaryOp::kAdd,
+                                                             "D")},
+                                             plan)
+                                       .ok());
+                     return out;
+                   }},
+        RunnerCase{"SplitKMatMulSum",
+                   [](PhysicalPlan* plan) {
+                     const TiledMatrix out = Square48("Out");
+                     CUMULON_CHECK(AddMatMul(Square48("A"), Square48("B"),
+                                             out, MatMulParams{3, 3, 1},
+                                             {EwStep::Binary(BinaryOp::kAdd,
+                                                             "D")},
+                                             plan)
+                                       .ok());
+                     return out;
+                   }},
+        RunnerCase{"EwChain",
+                   [](PhysicalPlan* plan) {
+                     const TiledMatrix out = Square48("Out");
+                     CUMULON_CHECK(
+                         AddEwChain(Square48("A"), out,
+                                    {EwStep::Unary(UnaryOp::kScale, 2.0),
+                                     EwStep::Binary(BinaryOp::kMul, "D")},
+                                    plan)
+                             .ok());
+                     return out;
+                   }},
+        RunnerCase{"RowSums",
+                   [](PhysicalPlan* plan) {
+                     const TiledMatrix a = Square48("A");
+                     const TiledMatrix out{
+                         "Out", AggOutputLayout(a.layout, AggKind::kRowSums)};
+                     CUMULON_CHECK(
+                         AddAggregate(a, out, AggKind::kRowSums,
+                                      {EwStep::Unary(UnaryOp::kScale, 0.5)},
+                                      plan, /*stripes_per_task=*/3)
+                             .ok());
+                     return out;
+                   }},
+        RunnerCase{"ColSums",
+                   [](PhysicalPlan* plan) {
+                     const TiledMatrix a = Square48("A");
+                     const TiledMatrix out{
+                         "Out", AggOutputLayout(a.layout, AggKind::kColSums)};
+                     CUMULON_CHECK(AddAggregate(a, out, AggKind::kColSums, {},
+                                                plan, /*stripes_per_task=*/3)
+                                       .ok());
+                     return out;
+                   }},
+        RunnerCase{"Transpose",
+                   [](PhysicalPlan* plan) {
+                     const TiledMatrix a = Square48("A");
+                     const TiledMatrix out{"Out", a.layout.Transposed()};
+                     CUMULON_CHECK(AddTranspose(a, out, plan).ok());
+                     return out;
+                   }}),
+    [](const ::testing::TestParamInfo<RunnerCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace cumulon

@@ -2,8 +2,7 @@
 // per-node memory budget must spill panels, stay under the ledger cap,
 // and still produce outputs bit-identical to the unbudgeted resident run
 // — over the full job mix (split-k matmul + epilogue, ew chain,
-// aggregate, transpose) at several budget settings. Plus the ReduceMode
-// resolution contract, the opt-in fast reductions' tolerance, and the
+// aggregate, transpose) at several budget settings. Plus the
 // panel-partial aggregate building blocks.
 
 #include <algorithm>
@@ -234,39 +233,7 @@ TEST(StreamingExecutorTest, BudgetAboveCacheReserveRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// ReduceMode resolution (pure logic; the env override is passed in).
-// ---------------------------------------------------------------------------
-
-TEST(ReduceModeTest, ResolutionContract) {
-  using RM = ReduceMode;
-  // Opt-in only: kAuto stays ordered unless the env says fast.
-  EXPECT_EQ(ResolveReduceModeWith(RM::kAuto, nullptr), RM::kOrdered);
-  EXPECT_EQ(ResolveReduceModeWith(RM::kAuto, ""), RM::kOrdered);
-  EXPECT_EQ(ResolveReduceModeWith(RM::kAuto, "banana"), RM::kOrdered);
-  EXPECT_EQ(ResolveReduceModeWith(RM::kAuto, "fast"), RM::kFast);
-  // Explicit kOrdered always wins.
-  EXPECT_EQ(ResolveReduceModeWith(RM::kOrdered, "fast"), RM::kOrdered);
-  // Explicit kFast is honored unless the env forces ordered (CI lane).
-  EXPECT_EQ(ResolveReduceModeWith(RM::kFast, nullptr), RM::kFast);
-  EXPECT_EQ(ResolveReduceModeWith(RM::kFast, "ordered"), RM::kOrdered);
-  EXPECT_EQ(ResolveReduceModeWith(RM::kAuto, "ordered"), RM::kOrdered);
-}
-
-TEST(ReduceModeTest, ParseAndName) {
-  ReduceMode mode = ReduceMode::kAuto;
-  EXPECT_TRUE(ParseReduceMode("ordered", &mode));
-  EXPECT_EQ(mode, ReduceMode::kOrdered);
-  EXPECT_TRUE(ParseReduceMode("fast", &mode));
-  EXPECT_EQ(mode, ReduceMode::kFast);
-  EXPECT_TRUE(ParseReduceMode("auto", &mode));
-  EXPECT_EQ(mode, ReduceMode::kAuto);
-  EXPECT_FALSE(ParseReduceMode("FAST", &mode)) << "case-sensitive";
-  EXPECT_EQ(mode, ReduceMode::kAuto) << "failed parse leaves *out alone";
-  EXPECT_STREQ(ReduceModeName(ReduceMode::kFast), "fast");
-}
-
-// ---------------------------------------------------------------------------
-// Fast reductions: reassociated, so tolerance-equal — never bit-required.
+// Panel-partial aggregates: the streamed aggregate's building blocks.
 // ---------------------------------------------------------------------------
 
 Tile GaussianTile(int64_t rows, int64_t cols, uint64_t seed) {
@@ -275,56 +242,6 @@ Tile GaussianTile(int64_t rows, int64_t cols, uint64_t seed) {
   FillGaussian(&t, &rng);
   return t;
 }
-
-TEST(FastReduceTest, TileSumWithinTolerance) {
-  const Tile t = GaussianTile(64, 64, 11);
-  const double ordered = TileSumWithMode(ReduceMode::kOrdered, t);
-  const double fast = TileSumWithMode(ReduceMode::kFast, t);
-  EXPECT_NEAR(fast, ordered, 1e-9 * (1.0 + std::abs(ordered)));
-  // Ragged edge: the unroll tail must cover every element.
-  const Tile odd = GaussianTile(7, 13, 12);
-  EXPECT_NEAR(TileSumWithMode(ReduceMode::kFast, odd),
-              TileSumWithMode(ReduceMode::kOrdered, odd), 1e-12);
-}
-
-TEST(FastReduceTest, RowSumsWithinTolerance) {
-  const Tile t = GaussianTile(64, 64, 13);
-  Tile ordered(64, 1), fast(64, 1);
-  FillTile(&ordered, 0.0);
-  FillTile(&fast, 0.0);
-  ASSERT_TRUE(RowSumsIntoWithMode(ReduceMode::kOrdered, t, &ordered).ok());
-  ASSERT_TRUE(RowSumsIntoWithMode(ReduceMode::kFast, t, &fast).ok());
-  for (int64_t r = 0; r < 64; ++r) {
-    EXPECT_NEAR(fast.At(r, 0), ordered.At(r, 0),
-                1e-9 * (1.0 + std::abs(ordered.At(r, 0))))
-        << "row " << r;
-  }
-}
-
-TEST(FastReduceTest, FrobeniusNormWithinTolerance) {
-  const Tile t = GaussianTile(33, 65, 14);
-  const double ordered = FrobeniusNormWithMode(ReduceMode::kOrdered, t);
-  const double fast = FrobeniusNormWithMode(ReduceMode::kFast, t);
-  EXPECT_NEAR(fast, ordered, 1e-9 * (1.0 + ordered));
-  EXPECT_GT(fast, 0.0);
-}
-
-TEST(FastReduceTest, DefaultEntryPointsStayOnTheOracle) {
-  // TileSum / RowSumsInto / FrobeniusNorm resolve kAuto; without a
-  // CUMULON_REDUCE=fast override they must equal the ordered oracle
-  // bit-for-bit. (The CI fast lane sets the env and exercises the other
-  // branch; this guards the default.)
-  if (ResolveReduceMode(ReduceMode::kAuto) != ReduceMode::kOrdered) {
-    GTEST_SKIP() << "CUMULON_REDUCE=fast is set for this process";
-  }
-  const Tile t = GaussianTile(48, 48, 15);
-  EXPECT_EQ(TileSum(t), TileSumWithMode(ReduceMode::kOrdered, t));
-  EXPECT_EQ(FrobeniusNorm(t), FrobeniusNormWithMode(ReduceMode::kOrdered, t));
-}
-
-// ---------------------------------------------------------------------------
-// Panel-partial aggregates: the streamed aggregate's building blocks.
-// ---------------------------------------------------------------------------
 
 TEST(AggPanelTest, OnePanelMatchesFlatFold) {
   // Up to kAggPanelTiles tiles form a single panel; its partial combined
