@@ -36,10 +36,6 @@ struct RealEngineOptions {
   /// memory-feasibility filter assumes.
   bool enable_tile_cache = false;
 
-  /// Fraction of a slot's RAM share reserved for task working sets when
-  /// sizing the cache (mirrors TuneOptions::memory_fraction).
-  double cache_slot_memory_fraction = 0.8;
-
   /// Overrides the derived per-machine cache size when > 0 (tests/benches).
   int64_t cache_bytes_per_node = 0;
 

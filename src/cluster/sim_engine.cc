@@ -24,7 +24,7 @@ SimEngine::SimEngine(const ClusterConfig& config,
             ? options_.cache_bytes_per_node
             : NodeTileCacheBudget(config_.machine.memory_bytes(),
                                   config_.slots_per_machine,
-                                  options_.cache_slot_memory_fraction);
+                                  kSlotMemoryFraction);
     caches_ = std::make_unique<TileCacheGroup>(config_.num_machines, bytes);
   }
 }

@@ -61,10 +61,6 @@ struct SimEngineOptions {
   /// (TaskCost::bytes_read_cached).
   bool enable_tile_cache = false;
 
-  /// Fraction of a slot's RAM share reserved for task working sets when
-  /// sizing the cache (mirrors TuneOptions::memory_fraction).
-  double cache_slot_memory_fraction = 0.8;
-
   /// Overrides the derived per-machine cache size when > 0.
   int64_t cache_bytes_per_node = 0;
 

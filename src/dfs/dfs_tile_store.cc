@@ -69,23 +69,23 @@ std::shared_ptr<const Tile> DfsTileStore::CacheLookup(const std::string& path,
 }
 
 std::shared_ptr<TileFetchState> DfsTileStore::StartFetch(
-    const std::string& matrix, TileId id, int reader_node, bool add_waiter) {
+    const std::string& matrix, TileId id, int reader_node) {
   auto key = std::make_pair(TilePath(matrix, id), reader_node);
   std::shared_ptr<TileFetchState> state;
   {
     MutexLock lock(&prefetch_mu_);
     auto it = in_flight_.find(key);
     if (it != in_flight_.end()) {
-      if (add_waiter) it->second->AddWaiter();
+      // Coalescing registers one more waiter so this future's Cancel
+      // cannot abandon the fetch for the others; a fresh state already
+      // counts its creator as the first waiter.
+      it->second->AddWaiter();
       if (counters_.prefetch_coalesced != nullptr) {
         counters_.prefetch_coalesced->Increment();
       }
       return it->second;
     }
     state = std::make_shared<TileFetchState>();
-    // Prefetch hints create the state with one implicit waiter that never
-    // cancels, so hinted fetches always run; GetAsync's first future is
-    // that waiter and CAN withdraw it.
     state->stall_callback = [this](double seconds) {
       if (counters_.prefetch_stall_ns != nullptr) {
         counters_.prefetch_stall_ns->Add(
@@ -160,24 +160,7 @@ TileFuture DfsTileStore::GetAsync(const std::string& matrix, TileId id,
     }
     return TileFuture::Ready(std::move(cached));
   }
-  // Coalescing onto an existing fetch registers one more waiter so this
-  // future's Cancel cannot abandon the fetch for the others; a freshly
-  // created state already counts its creator as the first waiter.
-  return TileFuture::FromState(
-      StartFetch(matrix, id, reader_node, /*add_waiter=*/true));
-}
-
-void DfsTileStore::Prefetch(const std::string& matrix, TileId id,
-                            int reader_node) {
-  if (prefetch_pool_ == nullptr) return;
-  if (CacheLookup(TilePath(matrix, id), reader_node, /*count_miss=*/false) !=
-      nullptr) {
-    if (counters_.prefetch_hits != nullptr) {
-      counters_.prefetch_hits->Increment();
-    }
-    return;  // already resident on the reader
-  }
-  StartFetch(matrix, id, reader_node, /*add_waiter=*/false);
+  return TileFuture::FromState(StartFetch(matrix, id, reader_node));
 }
 
 Status DfsTileStore::Put(const std::string& matrix, TileId id,

@@ -52,12 +52,12 @@ class DfsTileStore : public TileStore {
   /// relaxed atomic adds.
   void AttachMetrics(MetricsRegistry* metrics);
 
-  /// Turns on the asynchronous prefetch path: GetAsync/Prefetch fetch on a
+  /// Turns on the asynchronous prefetch path: GetAsync fetches on a
   /// bounded background pool instead of the calling thread, and concurrent
   /// requests for one (tile, node) coalesce onto a single DFS read whose
   /// result lands in the reader's tile cache. Without this call, GetAsync
-  /// degrades to a synchronous Get wrapped in a ready future. Futures and
-  /// hints issued through the async API must not outlive the store.
+  /// degrades to a synchronous Get wrapped in a ready future. Futures
+  /// issued through the async API must not outlive the store.
   void EnablePrefetch(int num_threads = 4);
 
   bool prefetch_enabled() const { return prefetch_pool_ != nullptr; }
@@ -68,8 +68,6 @@ class DfsTileStore : public TileStore {
                                           TileId id, int reader_node) override;
   TileFuture GetAsync(const std::string& matrix, TileId id,
                       int reader_node) override;
-  void Prefetch(const std::string& matrix, TileId id,
-                int reader_node) override;
   Status DeleteMatrix(const std::string& matrix) override;
   std::vector<int> PreferredNodes(const std::string& matrix,
                                   TileId id) override;
@@ -108,11 +106,9 @@ class DfsTileStore : public TileStore {
 
   /// Returns the (possibly coalesced) in-flight fetch state for
   /// (matrix tile, reader node), submitting a pool worker for new fetches.
-  /// `add_waiter` distinguishes GetAsync (a future will Await/Cancel) from
-  /// fire-and-forget Prefetch hints.
+  /// The caller's future is one more waiter on the state.
   std::shared_ptr<TileFetchState> StartFetch(const std::string& matrix,
-                                             TileId id, int reader_node,
-                                             bool add_waiter);
+                                             TileId id, int reader_node);
 
   SimDfs* dfs_;
   bool verify_checksums_;

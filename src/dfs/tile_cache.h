@@ -42,10 +42,8 @@ struct TileCacheStats {
 /// single cluster node, so tasks placed on the same machine reuse input
 /// tiles instead of re-fetching (and re-checksumming) them from the DFS.
 ///
-/// The key space is sharded and each shard has its own mutex and LRU list,
-/// so concurrent task slots of a machine do not serialize on one lock.
-/// Each shard manages an equal fraction of the byte budget; tiles larger
-/// than a shard's budget are not cached. Cached tiles are shared_ptrs to
+/// One LRU list under one mutex spends the whole byte budget; a tile
+/// larger than the budget is not cached. Cached tiles are shared_ptrs to
 /// the same immutable payloads the DFS holds — the cache adds bookkeeping,
 /// not copies.
 ///
@@ -53,15 +51,15 @@ struct TileCacheStats {
 class TileCache {
  public:
   /// `capacity_bytes` <= 0 disables caching (every Get misses).
-  explicit TileCache(int64_t capacity_bytes, int num_shards = 8);
+  explicit TileCache(int64_t capacity_bytes);
 
   /// Returns the cached tile and promotes it to most-recently-used, or
   /// nullptr on a miss.
   std::shared_ptr<const Tile> Get(const std::string& key);
 
   /// Inserts (or replaces) `tile` under `key`, evicting least-recently-used
-  /// entries of the shard until it fits. No-op for null tiles and tiles
-  /// larger than the shard budget.
+  /// entries until it fits. No-op for null tiles and tiles larger than the
+  /// whole budget.
   void Put(const std::string& key, std::shared_ptr<const Tile> tile);
 
   /// Drops `key` if present (tile overwritten or deleted in the DFS).
@@ -83,27 +81,20 @@ class TileCache {
     int64_t size_bytes = 0;    // serialized (DFS-comparable hit accounting)
     int64_t memory_bytes = 0;  // aligned in-memory footprint (budgeting)
   };
-  struct Shard {
-    mutable Mutex mu{"TileCache::Shard::mu"};
-    std::list<Entry> lru CUMULON_GUARDED_BY(mu);  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index
-        CUMULON_GUARDED_BY(mu);
-    int64_t bytes CUMULON_GUARDED_BY(mu) = 0;
-    int64_t hits CUMULON_GUARDED_BY(mu) = 0;
-    int64_t misses CUMULON_GUARDED_BY(mu) = 0;
-    int64_t insertions CUMULON_GUARDED_BY(mu) = 0;
-    int64_t evictions CUMULON_GUARDED_BY(mu) = 0;
-    int64_t invalidations CUMULON_GUARDED_BY(mu) = 0;
-    int64_t hit_bytes CUMULON_GUARDED_BY(mu) = 0;
-  };
+  void EvictLockedUntilFits(int64_t incoming_bytes) CUMULON_REQUIRES(mu_);
 
-  Shard& ShardFor(const std::string& key);
-  void EvictLockedUntilFits(Shard* shard, int64_t incoming_bytes)
-      CUMULON_REQUIRES(shard->mu);
-
-  int64_t capacity_bytes_;
-  int64_t shard_capacity_bytes_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const int64_t capacity_bytes_;
+  mutable Mutex mu_{"TileCache::mu_"};
+  std::list<Entry> lru_ CUMULON_GUARDED_BY(mu_);  // front = most recently used
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_
+      CUMULON_GUARDED_BY(mu_);
+  int64_t bytes_ CUMULON_GUARDED_BY(mu_) = 0;
+  int64_t hits_ CUMULON_GUARDED_BY(mu_) = 0;
+  int64_t misses_ CUMULON_GUARDED_BY(mu_) = 0;
+  int64_t insertions_ CUMULON_GUARDED_BY(mu_) = 0;
+  int64_t evictions_ CUMULON_GUARDED_BY(mu_) = 0;
+  int64_t invalidations_ CUMULON_GUARDED_BY(mu_) = 0;
+  int64_t hit_bytes_ CUMULON_GUARDED_BY(mu_) = 0;
 };
 
 /// Per-node caches of a whole cluster: node i of the DFS gets caches_[i].
@@ -111,7 +102,7 @@ class TileCache {
 /// the same MachineProfile the scheduler and memory-feasibility filter use.
 class TileCacheGroup {
  public:
-  TileCacheGroup(int num_nodes, int64_t bytes_per_node, int shards_per_node = 8);
+  TileCacheGroup(int num_nodes, int64_t bytes_per_node);
 
   /// Cache of `node`, or nullptr when the node index is out of range
   /// (e.g. reads attributed to the client, reader_node = -1).
@@ -141,11 +132,15 @@ class TileCacheGroup {
   std::vector<std::unique_ptr<TileCache>> caches_;
 };
 
+/// Fraction of a slot's share of machine memory that its tasks may use;
+/// the rest is framework overhead. The engines size their node caches with
+/// it and the job tuner's memory-feasibility filter screens splits with it,
+/// so both agree on how machine memory is divided.
+inline constexpr double kSlotMemoryFraction = 0.8;
+
 /// Cache budget of one node: machine memory minus the slots' task working
-/// sets. `slot_memory_fraction` is the fraction of a slot's RAM share that
-/// tasks may use (the same knob as TuneOptions::memory_fraction, default
-/// 0.8), so the optimizer's memory-feasibility filter and the cache agree
-/// on how machine memory is divided.
+/// sets, each `slot_memory_fraction` of a slot's share (kSlotMemoryFraction
+/// in the engines).
 int64_t NodeTileCacheBudget(double machine_memory_bytes, int slots_per_machine,
                             double slot_memory_fraction);
 

@@ -15,8 +15,9 @@ namespace {
 
 /// The counter sources whose deltas across one scheduling round land in the
 /// round's JobStats: the engine's tile caches, the steal domain and the
-/// memory-budget group. A source is null when its feature is off, and its
-/// JobStats fields then keep what the engine reported.
+/// memory-budget group. A source is null when its feature is off (the
+/// memory-budget group when unbudgeted), and its JobStats fields then keep
+/// what the engine reported.
 struct RoundCounters {
   RoundCounters(TileCacheGroup* caches, const StealDomain* steal,
                 const MemoryBudgetGroup* memory_budget)
@@ -151,15 +152,17 @@ Result<PlanStats> Executor::Run(const PhysicalPlan& plan) {
         engine_->config().total_slots(),
         options_.tracer != nullptr ? options_.tracer : GlobalTracer());
   }
-  // One memory-budget group per run, on this frame for the same lifetime
-  // reason as the steal domain. The engine's tile cache takes a standing
-  // reservation on every node ledger up front — the cache enforces its own
-  // LRU cap, so charging its full budget keeps the ledger an upper bound
-  // on the node's resident bytes without per-insert accounting.
+  // One memory-budget group per real-mode run, on this frame for the same
+  // lifetime reason as the steal domain; a budget <= 0 makes its ledgers
+  // unlimited. The engine's tile cache takes a standing reservation on
+  // every node ledger up front — the cache enforces its own LRU cap, so
+  // charging its full budget keeps the ledger an upper bound on the node's
+  // resident bytes without per-insert accounting.
+  const bool budgeted = options_.real_mode && options_.memory_budget_bytes > 0;
   std::unique_ptr<MemoryBudgetGroup> memory_budget;
-  if (options_.real_mode && options_.memory_budget_bytes > 0) {
+  if (options_.real_mode) {
     const int64_t cache_reserve = CacheReserveBytes();
-    if (cache_reserve >= options_.memory_budget_bytes) {
+    if (budgeted && cache_reserve >= options_.memory_budget_bytes) {
       return Status::InvalidArgument(StrCat(
           "memory_budget_bytes (", options_.memory_budget_bytes,
           ") does not cover the tile cache's per-node reservation (",
@@ -173,13 +176,16 @@ Result<PlanStats> Executor::Run(const PhysicalPlan& plan) {
   }
   CUMULON_ASSIGN_OR_RETURN(
       PlanStats stats,
-      RunRounds(plan, &run_metrics, steal.get(), memory_budget.get()));
+      RunRounds(plan, &run_metrics, steal.get(), memory_budget.get(),
+                budgeted ? memory_budget.get() : nullptr));
   if (TileCacheGroup* caches = engine_->tile_caches()) {
     const TileCacheStats totals = caches->TotalStats();
     metrics_->gauge("cache.resident_bytes")->Set(totals.resident_bytes);
     metrics_->gauge("cache.resident_tiles")->Set(totals.resident_tiles);
   }
-  if (memory_budget != nullptr) {
+  // An unlimited ledger never spills, so unbudgeted runs report no peak
+  // and no mem.budget.* gauges: their metric set stays the resident one.
+  if (budgeted) {
     stats.memory_peak_bytes = memory_budget->MaxPeakBytes();
     metrics_->gauge("mem.budget.bytes")
         ->Set(options_.memory_budget_bytes);
@@ -224,8 +230,8 @@ BuildContext Executor::MakeBuildContext(
   }
   // task_pin_bytes feeds two consumers: real-mode task readers pin against
   // it, and the declared-cost streaming term predicts refetch reads from it
-  // — so it is derived from the budget in both modes, while the ledger
-  // group itself exists only in real mode.
+  // — so it is derived from the budget in both modes (unlimited when
+  // unbudgeted), while the ledger group itself exists only in real mode.
   if (options_.memory_budget_bytes > 0) {
     const int slots = std::max(engine_->config().slots_per_machine, 1);
     ctx.task_pin_bytes = std::max<int64_t>(
@@ -341,7 +347,8 @@ void Executor::FoldJobStats(const std::string& name, JobStats stats,
 Result<PlanStats> Executor::RunRounds(const PhysicalPlan& plan,
                                       MetricsRegistry* run_metrics,
                                       StealDomain* steal,
-                                      MemoryBudgetGroup* memory_budget) {
+                                      MemoryBudgetGroup* memory_budget,
+                                      const MemoryBudgetGroup* spill_source) {
   BuildContext ctx = MakeBuildContext(memory_budget);
   ctx.steal = steal;
 
@@ -391,8 +398,7 @@ Result<PlanStats> Executor::RunRounds(const PhysicalPlan& plan,
       spec.name = name;
     }
 
-    const RoundCounters counters(engine_->tile_caches(), steal,
-                                 memory_budget);
+    const RoundCounters counters(engine_->tile_caches(), steal, spill_source);
     const JobTraceScope trace = BeginJobTrace(name);
     TagJobSpec(&spec, trace.job_id);
     spec.steal_domain = steal;

@@ -71,8 +71,10 @@ struct ExecutorOptions {
   /// the DFS, so a spill is a drop plus a possible later re-fetch).
   /// Compute order never changes, so results are bit-identical to an
   /// unbudgeted run; exec.spill.* / mem.budget.* metrics and the "spill"
-  /// trace category expose the traffic. <= 0 = unbudgeted (resident
-  /// execution). The ledger only runs in real mode — Run then fails with
+  /// trace category expose the traffic. <= 0 = unbudgeted: tasks charge an
+  /// unlimited ledger that never refuses, so they read exactly as resident
+  /// execution and report no spill or mem.budget.* figures. The ledger only
+  /// runs in real mode — Run then fails with
   /// InvalidArgument when the budget cannot even fund the engine's
   /// tile-cache reservation; in sim mode the budget instead feeds the
   /// declared-cost streaming term (cost/cost_model.h
@@ -216,10 +218,14 @@ class Executor {
 
   /// Runs the plan's jobs in scheduling rounds: one job per round, or one
   /// dependency level per round under parallelize_independent_jobs.
+  /// `memory_budget` is the run's ledger group (real mode); `spill_source`
+  /// is the same group when the run is budgeted and null otherwise, so
+  /// only budgeted runs fold exec.spill.* counters into their JobStats.
   Result<PlanStats> RunRounds(const PhysicalPlan& plan,
                               MetricsRegistry* run_metrics,
                               StealDomain* steal,
-                              MemoryBudgetGroup* memory_budget);
+                              MemoryBudgetGroup* memory_budget,
+                              const MemoryBudgetGroup* spill_source);
   Status DropTemporaries(const PhysicalPlan& plan);
 
   /// Status::Cancelled when options_.cancel has flipped, OK otherwise.
@@ -231,7 +237,7 @@ class Executor {
 
   /// Shared Build inputs, including the engine's node-cache budget so the
   /// declared task costs model the cache the engine actually has, and the
-  /// per-run memory-budget group when streaming is on.
+  /// per-run memory-budget group in real mode.
   BuildContext MakeBuildContext(MemoryBudgetGroup* memory_budget) const;
 
   /// Bytes of the per-node budget standing behind the engine's tile cache

@@ -2,6 +2,7 @@
 #define CUMULON_EXEC_MEMORY_BUDGET_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -84,11 +85,16 @@ class MemoryBudget {
   Counters counters_ CUMULON_GUARDED_BY(mu_);
 };
 
+/// Pin share of a task on an unlimited ledger: no cap at all.
+inline constexpr int64_t kUnlimitedPinBytes =
+    std::numeric_limits<int64_t>::max();
+
 /// One MemoryBudget per cluster node, machine-indexed the same way
-/// TileCacheGroup is (machine % nodes). The executor creates a group per
-/// Run when ExecutorOptions::memory_budget_bytes is set; it lives on the
-/// Run stack frame like the per-run StealDomain, so task closures may
-/// borrow node ledgers for the duration of the plan.
+/// TileCacheGroup is (machine % nodes). The executor creates a group for
+/// every real-mode Run — unlimited ledgers when
+/// ExecutorOptions::memory_budget_bytes <= 0; it lives on the Run stack
+/// frame like the per-run StealDomain, so task closures may borrow node
+/// ledgers for the duration of the plan.
 class MemoryBudgetGroup {
  public:
   MemoryBudgetGroup(int num_nodes, int64_t budget_bytes_per_node);

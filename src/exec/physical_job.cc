@@ -130,6 +130,7 @@ struct TaskIo {
 };
 
 TaskIo MakeTaskIo(const BuildContext& ctx, const std::string& task_name) {
+  CUMULON_CHECK(ctx.memory_budget != nullptr);
   return TaskIo{ctx.store,  task_name,         ctx.prefetch_budget_bytes,
                 ctx.steal,  ctx.memory_budget, ctx.task_pin_bytes};
 }
@@ -151,9 +152,7 @@ template <typename Unit, typename HintFn, typename ComputeFn>
 Status RunTaskUnits(const TaskIo& io, int machine,
                     const std::vector<Unit>& units, const HintFn& hint,
                     const ComputeFn& compute) {
-  MemoryBudget* const ledger = io.memory_budget != nullptr
-                                   ? io.memory_budget->node(machine)
-                                   : nullptr;
+  MemoryBudget* const ledger = io.memory_budget->node(machine);
   if (io.steal == nullptr) {
     TaskTileReader reader(io.store, machine, io.prefetch_budget_bytes, ledger,
                           io.task_pin_bytes);
@@ -364,19 +363,17 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
         task.cost.bytes_read += a_bytes + b_bytes;
         task.cost.bytes_read_cached = static_cast<int64_t>(
             a_bytes * a_hit_frac + b_bytes * b_hit_frac);
-        if (ctx.task_pin_bytes > 0) {
-          // Out-of-core streaming term (cost/cost_model.h): the compute
-          // order touches the A block once per j unit and the B block once
-          // per i unit; whatever fraction of the working set exceeds the
-          // task's pin share is re-fetched on each extra touch.
-          const int64_t working_set =
-              a_bytes + b_bytes + TileBytes(lc, ib, jb);
-          task.cost.bytes_read += static_cast<int64_t>(
-              StreamingRefetchBytes(a_bytes, static_cast<double>(j1 - jb),
-                                    working_set, ctx.task_pin_bytes) +
-              StreamingRefetchBytes(b_bytes, static_cast<double>(i1 - ib),
-                                    working_set, ctx.task_pin_bytes));
-        }
+        // Out-of-core streaming term (cost/cost_model.h): the compute
+        // order touches the A block once per j unit and the B block once
+        // per i unit; whatever fraction of the working set exceeds the
+        // task's pin share is re-fetched on each extra touch (none with an
+        // unlimited share).
+        const int64_t working_set = a_bytes + b_bytes + TileBytes(lc, ib, jb);
+        task.cost.bytes_read += static_cast<int64_t>(
+            StreamingRefetchBytes(a_bytes, static_cast<double>(j1 - jb),
+                                  working_set, ctx.task_pin_bytes) +
+            StreamingRefetchBytes(b_bytes, static_cast<double>(i1 - ib),
+                                  working_set, ctx.task_pin_bytes));
         for (int64_t i = ib; i < i1; ++i) {
           for (int64_t j = jb; j < j1; ++j) {
             const int64_t mi = lc.TileRowsAt(i);

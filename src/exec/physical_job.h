@@ -10,13 +10,13 @@
 #include "common/result.h"
 #include "cost/cost_model.h"
 #include "exec/ew_step.h"
+#include "exec/memory_budget.h"
 #include "matrix/tile_store.h"
 #include "matrix/tiled_matrix.h"
 
 namespace cumulon {
 
-class StealDomain;        // cluster/steal_domain.h
-class MemoryBudgetGroup;  // exec/memory_budget.h
+class StealDomain;  // cluster/steal_domain.h
 
 /// Inputs a physical job needs to turn itself into schedulable tasks.
 struct BuildContext {
@@ -50,18 +50,19 @@ struct BuildContext {
   /// ExecutorOptions::prefetch_budget_bytes.
   int64_t prefetch_budget_bytes = 0;
 
-  /// Out-of-core streaming (exec/memory_budget.h). When non-null, every
-  /// task reader charges its held bytes — in-flight prefetches, pinned
-  /// operand panels, scratch reservations — to its node's ledger, pinning
-  /// at most `task_pin_bytes` at once and spilling least-recently-used
-  /// panels under pressure (they are re-fetched from the DFS on the next
-  /// touch). Compute order is unchanged, so budgeted runs stay
-  /// bit-identical to resident ones. Borrowed from the executor's per-run
-  /// group; null = classic resident behavior. The executor derives
-  /// task_pin_bytes as the node budget minus the tile-cache reservation,
-  /// divided by the machine's task slots.
+  /// Out-of-core streaming (exec/memory_budget.h). Every task reader
+  /// charges its held bytes — in-flight prefetches, pinned operand panels,
+  /// scratch reservations — to its node's ledger, pinning at most
+  /// `task_pin_bytes` at once and spilling least-recently-used panels under
+  /// pressure (they are re-fetched from the DFS on the next touch).
+  /// Compute order is unchanged, so budgeted runs stay bit-identical to
+  /// resident ones. Borrowed from the executor's per-run group; required
+  /// with attach_work (unbudgeted runs get unlimited ledgers). The
+  /// executor derives task_pin_bytes under a budget as the node budget
+  /// minus the tile-cache reservation, divided by the machine's task
+  /// slots; it also sizes the declared-cost streaming term.
   MemoryBudgetGroup* memory_budget = nullptr;
-  int64_t task_pin_bytes = 0;
+  int64_t task_pin_bytes = kUnlimitedPinBytes;
 };
 
 /// One output tile a task will produce; used by the executor in simulation

@@ -4,10 +4,10 @@
 #include <utility>
 
 #include "common/aligned_buffer.h"
+#include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/task_io_stats.h"
-#include "exec/memory_budget.h"
 #include "obs/trace.h"
 
 namespace cumulon {
@@ -26,7 +26,7 @@ TaskTileReader::ScratchReservation&
 TaskTileReader::ScratchReservation::operator=(
     ScratchReservation&& other) noexcept {
   if (this != &other) {
-    if (ledger_ != nullptr && bytes_ > 0) ledger_->Release(bytes_);
+    if (bytes_ > 0) ledger_->Release(bytes_);
     ledger_ = std::exchange(other.ledger_, nullptr);
     bytes_ = std::exchange(other.bytes_, 0);
   }
@@ -34,7 +34,7 @@ TaskTileReader::ScratchReservation::operator=(
 }
 
 TaskTileReader::ScratchReservation::~ScratchReservation() {
-  if (ledger_ != nullptr && bytes_ > 0) ledger_->Release(bytes_);
+  if (bytes_ > 0) ledger_->Release(bytes_);
 }
 
 TaskTileReader::TaskTileReader(TileStore* store, int machine,
@@ -44,16 +44,16 @@ TaskTileReader::TaskTileReader(TileStore* store, int machine,
       machine_(machine),
       budget_bytes_(budget_bytes),
       ledger_(ledger),
-      pin_budget_bytes_(pin_budget_bytes) {}
+      pin_budget_bytes_(pin_budget_bytes) {
+  CUMULON_CHECK(ledger != nullptr);
+}
 
 TaskTileReader::~TaskTileReader() {
   for (auto& [key, flight] : in_flight_) {
     flight.future.Cancel();
-    if (ledger_ != nullptr) ledger_->Release(flight.bytes);
+    ledger_->Release(flight.bytes);
   }
-  if (ledger_ != nullptr) {
-    for (const MemoEntry& entry : lru_) ledger_->Release(entry.bytes);
-  }
+  for (const MemoEntry& entry : lru_) ledger_->Release(entry.bytes);
 }
 
 std::string TaskTileReader::Key(const std::string& matrix, TileId id) {
@@ -81,18 +81,15 @@ void TaskTileReader::Pump() {
         in_flight_bytes_ + next.bytes > budget_bytes_) {
       return;
     }
-    if (ledger_ != nullptr) {
-      // Under a memory budget the in-flight window also counts against
-      // this task's pinned-panel cap; an unissuable hint is not a
-      // deadlock — Read falls back to a synchronous, unpinned fetch.
-      if (in_flight_bytes_ + pinned_bytes_ + next.bytes >
-          pin_budget_bytes_) {
-        return;
-      }
-      while (!ledger_->TryAcquire(next.bytes)) {
-        if (lru_.empty()) return;  // nothing left to spill; stay pending
-        EvictLru();
-      }
+    // The in-flight window also counts against this task's pinned-panel
+    // cap; an unissuable hint is not a deadlock — Read falls back to a
+    // synchronous, unpinned fetch.
+    if (in_flight_bytes_ + pinned_bytes_ + next.bytes > pin_budget_bytes_) {
+      return;
+    }
+    while (!ledger_->TryAcquire(next.bytes)) {
+      if (lru_.empty()) return;  // nothing left to spill; stay pending
+      EvictLru();
     }
     InFlight flight;
     flight.bytes = next.bytes;
@@ -137,21 +134,11 @@ Result<std::shared_ptr<const Tile>> TaskTileReader::ReadInternal(
     // later reads keep downloading while this one waits.
     Pump();
     auto result = future.Await();
-    if (ledger_ != nullptr) {
-      // The hint-estimate charge is returned; a pinned tile re-acquires
-      // its exact resident footprint below, an unpinned one is covered by
-      // the task's scratch reservation while the caller consumes it.
-      ledger_->Release(flight_bytes);
-    }
-    if (result.ok()) {
-      const int64_t bytes = result.value()->MemoryBytes();
-      NoteRefetchIfSpilled(key, bytes);
-      if (pin) {
-        TryPin(key, result.value());
-      } else if (ledger_ != nullptr) {
-        ledger_->NoteUnpinnedRead(bytes);
-      }
-    }
+    // The hint-estimate charge is returned; a pinned tile re-acquires its
+    // exact resident footprint below, an unpinned one is covered by the
+    // task's scratch reservation while the caller consumes it.
+    ledger_->Release(flight_bytes);
+    if (result.ok()) NoteFetched(key, result.value(), pin);
     return result;
   }
   // Never hinted (or hint still pending past the budget): fetch on the
@@ -169,37 +156,39 @@ Result<std::shared_ptr<const Tile>> TaskTileReader::ReadInternal(
   TaskIoStats* io = TaskIoStats::Current();
   io->sync_read_seconds += blocked.ElapsedSeconds();
   ++io->sync_reads;
-  if (result.ok()) {
-    const int64_t bytes = result.value()->MemoryBytes();
-    NoteRefetchIfSpilled(key, bytes);
-    if (pin) {
-      TryPin(key, result.value());
-    } else if (ledger_ != nullptr) {
-      ledger_->NoteUnpinnedRead(bytes);
-    }
-  }
+  if (result.ok()) NoteFetched(key, result.value(), pin);
   return result;
+}
+
+void TaskTileReader::NoteFetched(const std::string& key,
+                                 const std::shared_ptr<const Tile>& tile,
+                                 bool pin) {
+  const int64_t bytes = tile->MemoryBytes();
+  if (spilled_.erase(key) > 0) ledger_->NoteRefetch(bytes);
+  if (pin) {
+    TryPin(key, tile);
+  } else {
+    ledger_->NoteUnpinnedRead(bytes);
+  }
 }
 
 bool TaskTileReader::TryPin(const std::string& key,
                             std::shared_ptr<const Tile> tile) {
   const int64_t bytes = tile->MemoryBytes();
-  if (ledger_ != nullptr) {
-    while (pinned_bytes_ + in_flight_bytes_ + bytes > pin_budget_bytes_ &&
-           !lru_.empty()) {
-      EvictLru();
-    }
-    if (pinned_bytes_ + in_flight_bytes_ + bytes > pin_budget_bytes_) {
+  while (pinned_bytes_ + in_flight_bytes_ + bytes > pin_budget_bytes_ &&
+         !lru_.empty()) {
+    EvictLru();
+  }
+  if (pinned_bytes_ + in_flight_bytes_ + bytes > pin_budget_bytes_) {
+    ledger_->NoteUnpinnedRead(bytes);
+    return false;
+  }
+  while (!ledger_->TryAcquire(bytes)) {
+    if (lru_.empty()) {
       ledger_->NoteUnpinnedRead(bytes);
       return false;
     }
-    while (!ledger_->TryAcquire(bytes)) {
-      if (lru_.empty()) {
-        ledger_->NoteUnpinnedRead(bytes);
-        return false;
-      }
-      EvictLru();
-    }
+    EvictLru();
   }
   pinned_bytes_ += bytes;
   lru_.push_front(MemoEntry{key, std::move(tile), bytes});
@@ -210,10 +199,8 @@ bool TaskTileReader::TryPin(const std::string& key,
 void TaskTileReader::EvictLru() {
   MemoEntry& victim = lru_.back();
   pinned_bytes_ -= victim.bytes;
-  if (ledger_ != nullptr) {
-    ledger_->Release(victim.bytes);
-    ledger_->NoteEviction(victim.bytes);
-  }
+  ledger_->Release(victim.bytes);
+  ledger_->NoteEviction(victim.bytes);
   spilled_.insert(victim.key);
   if (Tracer* tracer = GlobalTracer()) {
     TraceSpan span;
@@ -231,15 +218,9 @@ void TaskTileReader::EvictLru() {
   lru_.pop_back();
 }
 
-void TaskTileReader::NoteRefetchIfSpilled(const std::string& key,
-                                          int64_t bytes) {
-  if (ledger_ == nullptr) return;
-  if (spilled_.erase(key) > 0) ledger_->NoteRefetch(bytes);
-}
-
 TaskTileReader::ScratchReservation TaskTileReader::PinScratch(
     int64_t bytes) {
-  if (ledger_ == nullptr || bytes <= 0) return ScratchReservation();
+  if (bytes <= 0) return ScratchReservation();
   while (!ledger_->TryAcquire(bytes)) {
     if (lru_.empty()) return ScratchReservation();
     EvictLru();

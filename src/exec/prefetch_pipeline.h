@@ -12,11 +12,10 @@
 
 #include "common/result.h"
 #include "common/stopwatch.h"
+#include "exec/memory_budget.h"
 #include "matrix/tile_store.h"
 
 namespace cumulon {
-
-class MemoryBudget;  // exec/memory_budget.h; borrowed per-node ledger
 
 /// Per-task double-buffered tile reader: the task body hints its reads in
 /// compute order up front, and the reader keeps a byte-budgeted window of
@@ -31,24 +30,25 @@ class MemoryBudget;  // exec/memory_budget.h; borrowed per-node ledger
 /// unconditionally in every job body: results are bit-identical either
 /// way, only the waiting moves.
 ///
-/// Out-of-core streaming: when a node MemoryBudget ledger is attached, the
-/// reader becomes the task's panel-streaming window. Every byte it holds —
-/// in-flight prefetches, memoized (pinned) operand panels, and scratch
-/// reservations taken by the task body — is charged to the ledger, and the
-/// pinned set becomes an LRU capped at `pin_budget_bytes`: under pressure
-/// the least-recently-used panel is dropped ("spilled" — tiles are
-/// immutable and remain in the DFS, so spilling is releasing the pin) and
-/// transparently re-fetched if touched again. Compute order is unchanged,
-/// so budgeted and unbudgeted runs produce bit-identical results; only
-/// residency and re-read traffic differ.
+/// Out-of-core streaming: the reader is also the task's panel-streaming
+/// window. Every byte it holds — in-flight prefetches, memoized (pinned)
+/// operand panels, and scratch reservations taken by the task body — is
+/// charged to its node's MemoryBudget ledger, and the pinned set is an LRU
+/// capped at `pin_budget_bytes`: under pressure the least-recently-used
+/// panel is dropped ("spilled" — tiles are immutable and remain in the
+/// DFS, so spilling is releasing the pin) and transparently re-fetched if
+/// touched again. An unbudgeted task gets an unlimited ledger and a pin
+/// share of kUnlimitedPinBytes, which never refuse, so it pins every panel
+/// it memoizes. Compute order is unchanged, so budgeted and unbudgeted
+/// runs produce bit-identical results; only residency and re-read traffic
+/// differ.
 class TaskTileReader {
  public:
   /// RAII ledger reservation for task-local scratch (accumulator tiles and
   /// the transient operand the body is currently consuming). Releases on
-  /// destruction. Empty (no-op) when the reader is unbudgeted or the
-  /// ledger could not cover the bytes even after spilling every pinned
-  /// panel — execution proceeds either way; the failed acquisition is
-  /// counted on the ledger.
+  /// destruction. Empty (no-op) when the ledger could not cover the bytes
+  /// even after spilling every pinned panel — execution proceeds either
+  /// way; the failed acquisition is counted on the ledger.
   class ScratchReservation {
    public:
     ScratchReservation() = default;
@@ -75,13 +75,12 @@ class TaskTileReader {
   /// `store` is borrowed and must outlive the reader. `budget_bytes` caps
   /// the in-memory footprint of in-flight prefetches; at least one hint is
   /// kept in flight even when it alone exceeds the budget (<= 0 disables
-  /// prefetching entirely). `ledger` (borrowed, may be null) is the node
+  /// prefetching entirely). `ledger` (borrowed, required) is the node
   /// memory ledger all held bytes are charged to; `pin_budget_bytes` caps
-  /// this task's pinned panels + in-flight window (0 with a ledger =
-  /// nothing may be pinned; ignored without a ledger).
+  /// this task's pinned panels + in-flight window (0 = nothing may be
+  /// pinned; kUnlimitedPinBytes = no cap).
   TaskTileReader(TileStore* store, int machine, int64_t budget_bytes,
-                 MemoryBudget* ledger = nullptr,
-                 int64_t pin_budget_bytes = 0);
+                 MemoryBudget* ledger, int64_t pin_budget_bytes);
 
   /// Cancels any in-flight fetches the task never consumed and returns
   /// every charged byte to the ledger.
@@ -101,21 +100,21 @@ class TaskTileReader {
   /// Fetches a tile: consumes the matching in-flight prefetch when one
   /// exists (awaiting it if needed), falls back to a synchronous Get
   /// otherwise, and tops the prefetch window back up either way. The
-  /// returned tile is not pinned; under a ledger its transient residency
-  /// is covered by the task's scratch reservation.
+  /// returned tile is not pinned; its transient residency is covered by
+  /// the task's scratch reservation.
   Result<std::shared_ptr<const Tile>> Read(const std::string& matrix,
                                            TileId id);
 
   /// Read through the pinned-panel set: repeated reads of one tile
   /// (broadcast epilogue operands, A/B panels reused across a task's
   /// output block) return the pinned copy without touching the store.
-  /// Under a ledger the set is LRU-bounded; an evicted panel is re-fetched
-  /// on the next touch and counted as a spill re-fetch.
+  /// The set is an LRU bounded by the pin share and the ledger; an evicted
+  /// panel is re-fetched on the next touch and counted as a spill re-fetch.
   Result<std::shared_ptr<const Tile>> ReadMemoized(const std::string& matrix,
                                                    TileId id);
 
   /// Reserves `bytes` of task scratch on the ledger, spilling pinned
-  /// panels if that is what it takes. No-op reservation when unbudgeted.
+  /// panels if that is what it takes.
   ScratchReservation PinScratch(int64_t bytes);
 
   /// In-flight prefetched bytes right now (test hook).
@@ -159,13 +158,15 @@ class TaskTileReader {
   /// the ledger and recording the spill.
   void EvictLru();
 
-  /// Marks `key` fetched-again-after-spill if it was previously evicted.
-  void NoteRefetchIfSpilled(const std::string& key, int64_t bytes);
+  /// Books a tile fetched from the store: a re-fetch if `key` was spilled
+  /// before, then pinned (`pin`) or counted as an unpinned read.
+  void NoteFetched(const std::string& key,
+                   const std::shared_ptr<const Tile>& tile, bool pin);
 
   TileStore* store_;
   int machine_;
   int64_t budget_bytes_;
-  MemoryBudget* ledger_;       // borrowed; null = unbudgeted
+  MemoryBudget* ledger_;       // borrowed node ledger
   int64_t pin_budget_bytes_;   // cap on pinned + in-flight bytes
   int64_t in_flight_bytes_ = 0;
   int64_t pinned_bytes_ = 0;

@@ -123,9 +123,10 @@ class TileStore {
     return TileFuture::Ready(Get(matrix, id, reader_node));
   }
 
-  /// Hint that `id` will be read soon by `reader_node`. Purely advisory —
-  /// the default is a no-op; prefetch-capable stores start a background
-  /// fetch that lands in the node's tile cache.
+  /// Hint that `id` will be read soon by `reader_node`. A no-op: no store
+  /// in src/ overrides it and nothing in src/ calls it — GetAsync is the
+  /// one fetch path. It stays only because the benchmark's TimingTileStore
+  /// (perfbench/decorators.h) overrides it; both go together.
   virtual void Prefetch(const std::string& matrix, TileId id,
                         int reader_node) {
     (void)matrix;

@@ -32,7 +32,7 @@ Result<TunedMatMul> TuneMatMulParams(const TileLayout& a, const TileLayout& b,
   const std::vector<MatMulParams> candidates =
       options.candidates.empty() ? DefaultMatMulCandidates()
                                  : options.candidates;
-  const double slot_memory = SlotMemoryBytes(cluster, options.memory_fraction);
+  const double slot_memory = SlotMemoryBytes(cluster, kSlotMemoryFraction);
 
   SimEngineOptions sim = options.sim;
   sim.noise_sigma = 0.0;

@@ -23,11 +23,6 @@ struct TuneOptions {
 
   SimEngineOptions sim;
   double job_startup_seconds = 3.0;
-
-  /// A task may use at most this fraction of its slot's share of machine
-  /// memory (the rest is framework overhead). Candidates whose working
-  /// set exceeds it are infeasible.
-  double memory_fraction = 0.8;
 };
 
 /// Result of tuning one multiply.
@@ -42,10 +37,11 @@ struct TunedMatMul {
 };
 
 /// Evaluates the candidate portfolio for out = A * B on `cluster` and
-/// returns the fastest memory-feasible choice. Fails if no candidate fits
-/// in memory (the caller should choose smaller tiles or bigger machines —
-/// exactly the coupling between storage and provisioning the paper
-/// optimizes across).
+/// returns the fastest memory-feasible choice: a candidate's task working
+/// set must fit in kSlotMemoryFraction of its slot's share of machine
+/// memory. Fails if no candidate fits in memory (the caller should choose
+/// smaller tiles or bigger machines — exactly the coupling between storage
+/// and provisioning the paper optimizes across).
 Result<TunedMatMul> TuneMatMulParams(const TileLayout& a, const TileLayout& b,
                                      const ClusterConfig& cluster,
                                      const TileOpCostModel& cost,

@@ -40,13 +40,6 @@ Result<PredictionResult> PredictProgram(const ProgramSpec& spec,
   DfsTileStore store(&dfs);
   if (options.metrics != nullptr) store.AttachMetrics(options.metrics);
 
-  // One overlap setting drives the prediction run AND the tuner probes, so
-  // the splits the tuner picks are optimal for the regime being predicted.
-  SimEngineOptions sim_base = options.sim;
-  if (options.prefetch_overlap_fraction >= 0.0) {
-    sim_base.io_overlap_fraction = options.prefetch_overlap_fraction;
-  }
-
   LoweringOptions lowering = options.lowering;
   // The plan's determinism contract records the predictor's seed, so the
   // simulated schedule and any later replay derive from the same stream.
@@ -58,7 +51,10 @@ Result<PredictionResult> PredictProgram(const ProgramSpec& spec,
     // not move the optimum).
     const int64_t tile = lowering.tile_dim;
     const TileOpCostModel cost = options.cost;
-    const SimEngineOptions sim = sim_base;
+    // The probes see the prediction's sim options (io_overlap_fraction
+    // included), so the splits the tuner picks are optimal for the regime
+    // being predicted.
+    const SimEngineOptions sim = options.sim;
     const double job_startup = options.job_startup_seconds;
     lowering.mm_params = [cluster, cost, sim, job_startup, tile](
                              int64_t gi, int64_t gj, int64_t gk) {
@@ -88,7 +84,7 @@ Result<PredictionResult> PredictProgram(const ProgramSpec& spec,
   CUMULON_ASSIGN_OR_RETURN(LoweredProgram lowered,
                            PrepareProgram(spec, &store, lowering));
 
-  SimEngineOptions sim = sim_base;
+  SimEngineOptions sim = options.sim;
   sim.noise_sigma = 0.0;  // the predictor is the noise-free simulation
   sim.replication = options.dfs_replication;
   if (options.tracer != nullptr) sim.tracer = options.tracer;

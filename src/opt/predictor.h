@@ -43,15 +43,6 @@ struct PredictorOptions {
   /// Overrides lowering.mm_params when set.
   bool tune_mm_per_job = false;
 
-  /// Fraction of the overlappable I/O window the target deployment's
-  /// prefetch pipeline hides (SimEngineOptions::io_overlap_fraction;
-  /// overrides sim.io_overlap_fraction when >= 0). Applied to both the
-  /// prediction run and the tuner's probe simulations, so split choices
-  /// reflect the pipelined regime: with overlap, IO-heavier splits stop
-  /// being penalized for read time that compute hides. < 0 = keep
-  /// sim.io_overlap_fraction as given.
-  double prefetch_overlap_fraction = -1.0;
-
   /// Per-node memory budget of the target deployment (bytes; <= 0 =
   /// unbudgeted). The prediction's declared task costs then include the
   /// out-of-core streaming term (cost/cost_model.h StreamingRefetchBytes):

@@ -190,7 +190,9 @@ TEST_F(BudgetedReaderTest, ScratchSpillsPinsAndReleasesOnDestruct) {
 }
 
 TEST_F(BudgetedReaderTest, UnbudgetedReaderPinsWithoutLimit) {
-  TaskTileReader reader(&store_, 0, /*budget_bytes=*/0);
+  MemoryBudget ledger(0);  // an unbudgeted run's unlimited ledger
+  TaskTileReader reader(&store_, 0, /*budget_bytes=*/0, &ledger,
+                        kUnlimitedPinBytes);
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(reader.ReadMemoized("m", TileId{0, i}).ok());
   }
@@ -200,9 +202,16 @@ TEST_F(BudgetedReaderTest, UnbudgetedReaderPinsWithoutLimit) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.value().get(), second.value().get())
       << "classic unbudgeted memoization still serves one shared copy";
-  const TaskTileReader::ScratchReservation scratch =
-      reader.PinScratch(1 << 20);
-  EXPECT_EQ(scratch.bytes(), 0) << "scratch is a no-op without a ledger";
+  EXPECT_EQ(ledger.counters().evictions, 0);
+  const int64_t pinned = ledger.used_bytes();
+  {
+    const TaskTileReader::ScratchReservation scratch =
+        reader.PinScratch(1 << 20);
+    EXPECT_EQ(scratch.bytes(), 1 << 20)
+        << "scratch is charged to the unlimited ledger";
+    EXPECT_EQ(ledger.used_bytes(), pinned + (1 << 20));
+  }
+  EXPECT_EQ(ledger.used_bytes(), pinned) << "scratch returned at scope exit";
 }
 
 }  // namespace

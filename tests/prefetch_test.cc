@@ -180,22 +180,17 @@ TEST(DfsPrefetchTest, PrefetchLandsInTileCacheAndSecondReadHits) {
   store.EnablePrefetch(2);
   ASSERT_TRUE(store.Put("m", TileId{0, 0}, MakeTile(8, 8, 4.0), 0).ok());
 
-  store.Prefetch("m", TileId{0, 0}, 1);
-  // Wait for the background fetch to land in node 1's cache.
-  for (int spin = 0; spin < 1000 && caches.node(1)->Get(
-                                        DfsTileStore::TilePath(
-                                            "m", TileId{0, 0})) == nullptr;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // The background fetch puts the tile in node 1's cache before it
+  // resolves the future.
+  ASSERT_TRUE(store.GetAsync("m", TileId{0, 0}, 1).Await().ok());
   const int64_t reads_after_prefetch = dfs.TotalStats().reads;
   auto got = store.Get("m", TileId{0, 0}, 1);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ((*got)->At(0, 0), 4.0);
   EXPECT_EQ(dfs.TotalStats().reads, reads_after_prefetch)
       << "second read should be served by the cache the prefetch filled";
-  // A cache-resident tile turns further hints into instant hits.
-  store.Prefetch("m", TileId{0, 0}, 1);
+  // A cache-resident tile turns further async reads into instant hits.
+  ASSERT_TRUE(store.GetAsync("m", TileId{0, 0}, 1).Await().ok());
   EXPECT_GE(metrics.Snapshot().CounterOr("prefetch.hit", 0), 1);
 }
 
@@ -252,7 +247,9 @@ TEST(TaskTileReaderTest, WindowRespectsByteBudget) {
   }
 
   // Budget = 2 tiles: hints beyond the window stay pending.
-  TaskTileReader reader(&store, /*machine=*/0, 2 * tile_mem);
+  MemoryBudget ledger(0);  // unlimited
+  TaskTileReader reader(&store, /*machine=*/0, 2 * tile_mem, &ledger,
+                        kUnlimitedPinBytes);
   for (int i = 0; i < 6; ++i) reader.Hint("m", TileId{0, i}, tile_bytes);
   EXPECT_EQ(store.issued.size(), 2u);
   EXPECT_EQ(reader.in_flight_bytes(), 2 * tile_mem);
@@ -282,7 +279,10 @@ TEST(TaskTileReaderTest, OversizedHintStillGoesOutAlone) {
   const int64_t tile_bytes = MakeTile(8, 8, 0.0)->SizeBytes();
   ASSERT_TRUE(store.Put("m", TileId{0, 0}, MakeTile(8, 8, 1.0), 0).ok());
   ASSERT_TRUE(store.Put("m", TileId{0, 1}, MakeTile(8, 8, 2.0), 0).ok());
-  TaskTileReader reader(&store, 0, tile_bytes / 2);  // budget < one tile
+  MemoryBudget ledger(0);  // unlimited
+  // Prefetch budget < one tile.
+  TaskTileReader reader(&store, 0, tile_bytes / 2, &ledger,
+                        kUnlimitedPinBytes);
   reader.Hint("m", TileId{0, 0}, tile_bytes);
   reader.Hint("m", TileId{0, 1}, tile_bytes);
   EXPECT_EQ(store.issued.size(), 1u) << "one in-flight fetch minimum";
@@ -296,7 +296,9 @@ TEST(TaskTileReaderTest, OversizedHintStillGoesOutAlone) {
 TEST(TaskTileReaderTest, ZeroBudgetFallsBackToSynchronousGets) {
   ManualAsyncStore store;
   ASSERT_TRUE(store.Put("m", TileId{0, 0}, MakeTile(8, 8, 9.0), 0).ok());
-  TaskTileReader reader(&store, 0, /*budget_bytes=*/0);
+  MemoryBudget ledger(0);  // unlimited
+  TaskTileReader reader(&store, 0, /*budget_bytes=*/0, &ledger,
+                        kUnlimitedPinBytes);
   reader.Hint("m", TileId{0, 0}, 1024);
   EXPECT_TRUE(store.issued.empty());
   TaskIoStats::Current()->Reset();
@@ -310,8 +312,9 @@ TEST(TaskTileReaderTest, DestructorCancelsUnconsumedPrefetches) {
   ManualAsyncStore store;
   ASSERT_TRUE(store.Put("m", TileId{0, 0}, MakeTile(8, 8, 1.0), 0).ok());
   std::shared_ptr<TileFetchState> state;
+  MemoryBudget ledger(0);  // unlimited
   {
-    TaskTileReader reader(&store, 0, 1 << 20);
+    TaskTileReader reader(&store, 0, 1 << 20, &ledger, kUnlimitedPinBytes);
     reader.Hint("m", TileId{0, 0}, 1024);
     ASSERT_EQ(store.issued.size(), 1u);
     state = store.issued[0].second;
@@ -324,7 +327,9 @@ TEST(TaskTileReaderTest, DestructorCancelsUnconsumedPrefetches) {
 TEST(TaskTileReaderTest, MemoServesRepeatedReadsOnce) {
   ManualAsyncStore store;
   ASSERT_TRUE(store.Put("m", TileId{0, 0}, MakeTile(8, 8, 3.0), 0).ok());
-  TaskTileReader reader(&store, 0, /*budget_bytes=*/0);
+  MemoryBudget ledger(0);  // unlimited
+  TaskTileReader reader(&store, 0, /*budget_bytes=*/0, &ledger,
+                        kUnlimitedPinBytes);
   auto first = reader.ReadMemoized("m", TileId{0, 0});
   ASSERT_TRUE(first.ok());
   auto second = reader.ReadMemoized("m", TileId{0, 0});

@@ -34,7 +34,7 @@ const int64_t kTileBytes = MakeTile(4, 4, 0.0)->SizeBytes();
 const int64_t kTileMemoryBytes = MakeTile(4, 4, 0.0)->MemoryBytes();
 
 TEST(TileCacheTest, MissThenHit) {
-  TileCache cache(10 * kTileBytes, /*num_shards=*/1);
+  TileCache cache(10 * kTileBytes);
   EXPECT_EQ(cache.Get("a"), nullptr);
   cache.Put("a", MakeTile(4, 4, 1.0));
   auto hit = cache.Get("a");
@@ -51,8 +51,8 @@ TEST(TileCacheTest, MissThenHit) {
 }
 
 TEST(TileCacheTest, EvictsLeastRecentlyUsedFirst) {
-  // Room for exactly two tiles in one shard.
-  TileCache cache(2 * kTileBytes, /*num_shards=*/1);
+  // Room for exactly two tiles.
+  TileCache cache(2 * kTileBytes);
   cache.Put("a", MakeTile(4, 4, 1.0));
   cache.Put("b", MakeTile(4, 4, 2.0));
   cache.Put("c", MakeTile(4, 4, 3.0));  // evicts "a", the LRU entry
@@ -63,8 +63,21 @@ TEST(TileCacheTest, EvictsLeastRecentlyUsedFirst) {
   EXPECT_EQ(cache.Stats().resident_tiles, 2);
 }
 
+TEST(TileCacheTest, DefaultCacheSpendsItsWholeBudget) {
+  // One LRU per node spends the whole budget: a cache with room for two
+  // tiles keeps both, whatever their keys.
+  TileCache cache(2 * kTileMemoryBytes);
+  cache.Put("a", MakeTile(4, 4, 1.0));
+  cache.Put("b", MakeTile(4, 4, 2.0));
+  EXPECT_NE(cache.Get("a"), nullptr);
+  EXPECT_NE(cache.Get("b"), nullptr);
+  EXPECT_EQ(cache.Stats().resident_tiles, 2);
+  EXPECT_EQ(cache.Stats().resident_bytes, 2 * kTileMemoryBytes);
+  EXPECT_EQ(cache.Stats().evictions, 0);
+}
+
 TEST(TileCacheTest, GetPromotesEntryToMostRecentlyUsed) {
-  TileCache cache(2 * kTileBytes, /*num_shards=*/1);
+  TileCache cache(2 * kTileBytes);
   cache.Put("a", MakeTile(4, 4, 1.0));
   cache.Put("b", MakeTile(4, 4, 2.0));
   ASSERT_NE(cache.Get("a"), nullptr);  // "b" is now the LRU entry
@@ -75,7 +88,7 @@ TEST(TileCacheTest, GetPromotesEntryToMostRecentlyUsed) {
 }
 
 TEST(TileCacheTest, OversizedTileIsNotCached) {
-  TileCache cache(kTileBytes, /*num_shards=*/1);
+  TileCache cache(kTileBytes);
   cache.Put("big", MakeTile(64, 64, 1.0));
   EXPECT_EQ(cache.Get("big"), nullptr);
   EXPECT_EQ(cache.Stats().resident_tiles, 0);
@@ -89,7 +102,7 @@ TEST(TileCacheTest, NonPositiveCapacityDisablesCaching) {
 }
 
 TEST(TileCacheTest, PutReplacesExistingEntry) {
-  TileCache cache(4 * kTileBytes, /*num_shards=*/1);
+  TileCache cache(4 * kTileBytes);
   cache.Put("a", MakeTile(4, 4, 1.0));
   cache.Put("a", MakeTile(4, 4, 9.0));
   auto got = cache.Get("a");
@@ -99,7 +112,7 @@ TEST(TileCacheTest, PutReplacesExistingEntry) {
 }
 
 TEST(TileCacheTest, InvalidateDropsKeyAndPrefixDropsSubtree) {
-  TileCache cache(16 * kTileBytes, /*num_shards=*/4);
+  TileCache cache(16 * kTileBytes);
   cache.Put("/matrix/A/t_0_0", MakeTile(4, 4, 1.0));
   cache.Put("/matrix/A/t_0_1", MakeTile(4, 4, 2.0));
   cache.Put("/matrix/AB/t_0_0", MakeTile(4, 4, 3.0));
@@ -116,7 +129,7 @@ TEST(TileCacheTest, ConcurrentMixedOperationsStayConsistent) {
   // Small capacity forces constant eviction while 8 threads hammer
   // overlapping keys. Every hit must return the exact tile stored under
   // that key (value = key index), never a torn or mismatched payload.
-  TileCache cache(8 * kTileBytes, /*num_shards=*/4);
+  TileCache cache(8 * kTileBytes);
   constexpr int kThreads = 8;
   constexpr int kKeys = 32;
   constexpr int kOpsPerThread = 4000;
