@@ -210,39 +210,59 @@ void RunRealSection() {
               "spills > 0, peak <= budget (CHECK-enforced)\n");
 }
 
+// Predicted time of `a * b` in blocks of `params` on the simulated
+// 16 x m1.large cluster under a per-node memory budget.
+double PredictSeconds(const TiledMatrix& a, const TiledMatrix& b,
+                      MatMulParams params, int64_t budget) {
+  SimWorld world(DefaultCluster());
+  TiledMatrix c{"C", TileLayout(a.layout.rows(), b.layout.cols(),
+                                a.layout.tile_rows(), b.layout.tile_cols())};
+  world.LoadInput(a);
+  world.LoadInput(b);
+  PhysicalPlan plan;
+  CUMULON_CHECK(AddMatMul(a, b, c, params, {}, &plan).ok());
+  ExecutorOptions options;
+  options.real_mode = false;
+  options.job_startup_seconds = 3.0;
+  options.memory_budget_bytes = budget;
+  TileOpCostModel cost;
+  Executor executor(world.store(), world.engine(), &cost, options);
+  auto stats = executor.Run(plan);
+  CUMULON_CHECK(stats.ok()) << stats.status();
+  return stats->total_seconds;
+}
+
 // The cost model's view of the same sweep: predicted time through the
-// declared-cost streaming term. Flat while the per-task working set fits
-// the pin share, rising once panels must stream.
+// declared-cost streaming term. Flat while the per-task reused panels fit
+// the pin share, rising once they must stream. The skinny multiply (RSVD's
+// A * Omega shape) reads its wide operand once per task, so only its small
+// reused panel counts and it streams resident down to a far smaller budget.
 void RunSimSection() {
-  std::printf("\nsimulated 16 x m1.large, multiply 16384^3 (t=1024), "
-              "predicted stream-vs-resident crossover:\n");
-  std::printf("%-10s %14s %12s\n", "budget", "bytes/node", "pred time");
+  std::printf("\nsimulated 16 x m1.large, t=1024, predicted "
+              "stream-vs-resident crossover:\n"
+              "  blocked: 16384^3, bi=2 bj=2; skinny: 16384x8192 * "
+              "8192x1024, bi=4\n");
+  std::printf("%-10s %14s %12s %12s\n", "budget", "bytes/node", "blocked",
+              "skinny");
   PrintRule();
   const int64_t tile_mem = AlignedFootprintBytes(1024 * 1024 * 8);
   const int64_t gk = 16384 / 1024;
   const int64_t ws = 2 * (2 * gk + gk * 2 + 4) * tile_mem;
+  const TiledMatrix a = Square("A", 16384, 1024);
+  const TiledMatrix b = Square("B", 16384, 1024);
+  const TiledMatrix wide{"W", TileLayout::Square(16384, 8192, 1024)};
+  const TiledMatrix skinny{"S", TileLayout::Square(8192, 1024, 1024)};
   for (double factor : {0.0, 2.0, 1.0, 0.5, 0.25, 0.1}) {
     const int64_t budget = static_cast<int64_t>(factor * ws);
-    SimWorld world(DefaultCluster());
-    TiledMatrix a = Square("A", 16384, 1024);
-    TiledMatrix b = Square("B", 16384, 1024);
-    TiledMatrix c = Square("C", 16384, 1024);
-    world.LoadInput(a);
-    world.LoadInput(b);
-    PhysicalPlan plan;
-    CUMULON_CHECK(AddMatMul(a, b, c, MatMulParams{2, 2, 0}, {}, &plan).ok());
-    ExecutorOptions options;
-    options.real_mode = false;
-    options.job_startup_seconds = 3.0;
-    options.memory_budget_bytes = budget;
-    TileOpCostModel cost;
-    Executor executor(world.store(), world.engine(), &cost, options);
-    auto stats = executor.Run(plan);
-    CUMULON_CHECK(stats.ok()) << stats.status();
-    std::printf("%-10s %14lld %12s\n",
-                factor == 0.0 ? "resident" : std::to_string(factor).c_str(),
-                static_cast<long long>(budget),
-                FormatDuration(stats->total_seconds).c_str());
+    std::printf(
+        "%-10s %14lld %12s %12s\n",
+        factor == 0.0 ? "resident" : std::to_string(factor).c_str(),
+        static_cast<long long>(budget),
+        FormatDuration(PredictSeconds(a, b, MatMulParams{2, 2, 0}, budget))
+            .c_str(),
+        FormatDuration(
+            PredictSeconds(wide, skinny, MatMulParams{4, 1, 0}, budget))
+            .c_str());
   }
 }
 

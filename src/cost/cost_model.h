@@ -63,26 +63,29 @@ inline double ExpectedRevocationSlowdown(int total_machines,
   return std::min(1.0 / (1.0 - lost_fraction), 10.0);
 }
 
-/// Declared extra DFS reads of a task streaming its working set through a
-/// per-task pin budget (out-of-core execution, exec/memory_budget.h): when
-/// `working_set_bytes` exceeds `pin_budget_bytes`, the LRU panel window
-/// keeps only the budgeted fraction resident, so the spilled fraction of
+/// Declared extra DFS reads of a task streaming its operands through a
+/// per-task pin share (out-of-core execution, exec/memory_budget.h). The
+/// task reader pins a tile only while a later read of it remains, so an
+/// operand the compute order touches once streams through and costs
+/// nothing extra; only the reused operand set competes for the share.
+/// When `reused_set_bytes` (the one-fetch footprint of every operand with
+/// `reuse_count` > 1) exceeds `pin_budget_bytes`, the spilled fraction of
 /// each reused operand is re-fetched on every reuse after the first.
-/// `reused_bytes` is the operand's one-fetch footprint and `reuse_count`
-/// how many times the task's compute order touches it. Zero when the
-/// working set fits — the stream-vs-resident crossover is exactly
-/// working_set_bytes == pin_budget_bytes, below which the optimizer should
-/// prefer plans with smaller task working sets over paying refetch reads.
+/// `reused_bytes` is this operand's one-fetch footprint. Zero when the
+/// reused set fits — the stream-vs-resident crossover is exactly
+/// reused_set_bytes == pin_budget_bytes, below which the optimizer should
+/// prefer plans with smaller reused panels over paying refetch reads.
 inline double StreamingRefetchBytes(int64_t reused_bytes, double reuse_count,
-                                    int64_t working_set_bytes,
+                                    int64_t reused_set_bytes,
                                     int64_t pin_budget_bytes) {
-  if (pin_budget_bytes <= 0 || working_set_bytes <= pin_budget_bytes) {
+  if (reuse_count <= 1.0 || pin_budget_bytes <= 0 ||
+      reused_set_bytes <= pin_budget_bytes) {
     return 0.0;
   }
   const double spilled_fraction =
-      1.0 - static_cast<double>(pin_budget_bytes) / working_set_bytes;
-  return static_cast<double>(reused_bytes) *
-         std::max(0.0, reuse_count - 1.0) * spilled_fraction;
+      1.0 - static_cast<double>(pin_budget_bytes) / reused_set_bytes;
+  return static_cast<double>(reused_bytes) * (reuse_count - 1.0) *
+         spilled_fraction;
 }
 
 /// Per-tile-operation time models, expressed in seconds on the *reference

@@ -66,9 +66,10 @@ struct ExecutorOptions {
   /// cache's standing reservation, in-flight prefetches, pinned operand
   /// panels, and task scratch, all weighed as aligned Tile::MemoryBytes
   /// footprints. Each task slot pins at most its share
-  /// ((budget - cache reservation) / slots_per_machine); under pressure
-  /// the least-recently-used panel spills (tiles are immutable and stay in
-  /// the DFS, so a spill is a drop plus a possible later re-fetch).
+  /// ((budget - cache reservation) / slots_per_machine), and only while a
+  /// later hinted read of the panel remains; under pressure the panel
+  /// whose next read is furthest away spills (tiles are immutable and stay
+  /// in the DFS, so a spill is a drop plus a later re-fetch).
   /// Compute order never changes, so results are bit-identical to an
   /// unbudgeted run; exec.spill.* / mem.budget.* metrics and the "spill"
   /// trace category expose the traffic. <= 0 = unbudgeted: tasks charge an

@@ -365,15 +365,18 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
             a_bytes * a_hit_frac + b_bytes * b_hit_frac);
         // Out-of-core streaming term (cost/cost_model.h): the compute
         // order touches the A block once per j unit and the B block once
-        // per i unit; whatever fraction of the working set exceeds the
-        // task's pin share is re-fetched on each extra touch (none with an
+        // per i unit. A block touched once streams through unpinned; of
+        // the blocks touched again, whatever fraction exceeds the task's
+        // pin share is re-fetched on each extra touch (none with an
         // unlimited share).
-        const int64_t working_set = a_bytes + b_bytes + TileBytes(lc, ib, jb);
+        const int64_t a_reuse = j1 - jb, b_reuse = i1 - ib;
+        const int64_t reused_set =
+            (a_reuse > 1 ? a_bytes : 0) + (b_reuse > 1 ? b_bytes : 0);
         task.cost.bytes_read += static_cast<int64_t>(
-            StreamingRefetchBytes(a_bytes, static_cast<double>(j1 - jb),
-                                  working_set, ctx.task_pin_bytes) +
-            StreamingRefetchBytes(b_bytes, static_cast<double>(i1 - ib),
-                                  working_set, ctx.task_pin_bytes));
+            StreamingRefetchBytes(a_bytes, static_cast<double>(a_reuse),
+                                  reused_set, ctx.task_pin_bytes) +
+            StreamingRefetchBytes(b_bytes, static_cast<double>(b_reuse),
+                                  reused_set, ctx.task_pin_bytes));
         for (int64_t i = ib; i < i1; ++i) {
           for (int64_t j = jb; j < j1; ++j) {
             const int64_t mi = lc.TileRowsAt(i);

@@ -53,8 +53,9 @@ struct BuildContext {
   /// Out-of-core streaming (exec/memory_budget.h). Every task reader
   /// charges its held bytes — in-flight prefetches, pinned operand panels,
   /// scratch reservations — to its node's ledger, pinning at most
-  /// `task_pin_bytes` at once and spilling least-recently-used panels under
-  /// pressure (they are re-fetched from the DFS on the next touch).
+  /// `task_pin_bytes` at once, each only until its last hinted read, and
+  /// spilling the panel read furthest ahead under pressure (it is
+  /// re-fetched from the DFS on the next touch).
   /// Compute order is unchanged, so budgeted runs stay bit-identical to
   /// resident ones. Borrowed from the executor's per-run group; required
   /// with attach_work (unbudgeted runs get unlimited ledgers). The

@@ -53,7 +53,7 @@ TaskTileReader::~TaskTileReader() {
     flight.future.Cancel();
     ledger_->Release(flight.bytes);
   }
-  for (const MemoEntry& entry : lru_) ledger_->Release(entry.bytes);
+  for (const MemoEntry& entry : pinned_) ledger_->Release(entry.bytes);
 }
 
 std::string TaskTileReader::Key(const std::string& matrix, TileId id) {
@@ -62,10 +62,27 @@ std::string TaskTileReader::Key(const std::string& matrix, TileId id) {
 
 void TaskTileReader::Hint(const std::string& matrix, TileId id,
                           int64_t bytes) {
+  std::string key = Key(matrix, id);
+  const int64_t footprint = HintFootprintBytes(bytes);
+  uses_[key].at.push_back(hints_++);
+  // Until the body takes scratch, one max-size hinted tile stands in for
+  // it.
+  scratch_headroom_ = std::max(scratch_headroom_, footprint);
   if (budget_bytes_ <= 0) return;
-  pending_.push_back(
-      PendingHint{Key(matrix, id), matrix, id, HintFootprintBytes(bytes)});
+  // Pins leave one max-size tile to the window so they never starve the
+  // double buffer.
+  window_floor_ =
+      std::max(window_floor_, std::min(footprint, budget_bytes_));
+  pending_.push_back(PendingHint{std::move(key), matrix, id, footprint});
   Pump();
+}
+
+int64_t TaskTileReader::NextUse(const std::string& key) const {
+  auto it = uses_.find(key);
+  if (it == uses_.end() || it->second.next >= it->second.at.size()) {
+    return kNoUse;
+  }
+  return it->second.at[it->second.next];
 }
 
 void TaskTileReader::Pump() {
@@ -81,15 +98,13 @@ void TaskTileReader::Pump() {
         in_flight_bytes_ + next.bytes > budget_bytes_) {
       return;
     }
-    // The in-flight window also counts against this task's pinned-panel
-    // cap; an unissuable hint is not a deadlock — Read falls back to a
-    // synchronous, unpinned fetch.
-    if (in_flight_bytes_ + pinned_bytes_ + next.bytes > pin_budget_bytes_) {
+    // The window only takes pin-share room that no pin and no scratch
+    // headroom holds, and never spills to get more; an unissuable hint is
+    // not a deadlock — Read falls back to a synchronous fetch.
+    if (in_flight_bytes_ + pinned_bytes_ + scratch_headroom_ + next.bytes >
+            pin_budget_bytes_ ||
+        !ledger_->TryAcquire(next.bytes)) {
       return;
-    }
-    while (!ledger_->TryAcquire(next.bytes)) {
-      if (lru_.empty()) return;  // nothing left to spill; stay pending
-      EvictLru();
     }
     InFlight flight;
     flight.bytes = next.bytes;
@@ -107,43 +122,70 @@ void TaskTileReader::Pump() {
 
 Result<std::shared_ptr<const Tile>> TaskTileReader::Read(
     const std::string& matrix, TileId id) {
-  return ReadInternal(matrix, id, /*pin=*/false);
+  return ReadInternal(matrix, id, /*memoize=*/false);
 }
 
 Result<std::shared_ptr<const Tile>> TaskTileReader::ReadMemoized(
     const std::string& matrix, TileId id) {
-  return ReadInternal(matrix, id, /*pin=*/true);
+  return ReadInternal(matrix, id, /*memoize=*/true);
 }
 
 Result<std::shared_ptr<const Tile>> TaskTileReader::ReadInternal(
-    const std::string& matrix, TileId id, bool pin) {
+    const std::string& matrix, TileId id, bool memoize) {
   const std::string key = Key(matrix, id);
-  if (auto memo_it = memo_.find(key); memo_it != memo_.end()) {
-    // Touch: move to the front of the pinned LRU.
-    lru_.splice(lru_.begin(), lru_, memo_it->second);
-    return memo_it->second->tile;
+  // This read consumes the tile's next hinted use; a hinted tile with no
+  // use left is dead. A tile never hinted keeps plain memoization.
+  bool dead = false;
+  if (auto uses = uses_.find(key); uses != uses_.end()) {
+    Uses& u = uses->second;
+    if (u.next < u.at.size()) ++u.next;
+    dead = u.next == u.at.size();
   }
+  if (auto memo_it = memo_.find(key); memo_it != memo_.end()) {
+    std::shared_ptr<const Tile> tile = memo_it->second->tile;
+    if (dead) {
+      Unpin(memo_it->second, /*spill=*/false);  // last use: release
+      Pump();
+    } else {
+      pinned_.splice(pinned_.begin(), pinned_, memo_it->second);  // touch
+    }
+    return tile;
+  }
+  const bool pin = memoize && !dead;
   Pump();
   auto it = in_flight_.find(key);
   if (it != in_flight_.end()) {
     TileFuture future = std::move(it->second.future);
     const int64_t flight_bytes = it->second.bytes;
-    in_flight_bytes_ -= flight_bytes;
     in_flight_.erase(it);
+    in_flight_bytes_ -= flight_bytes;
+    // A tile about to be pinned keeps its flight's reservation and hands
+    // it to the pin; while it lands its bytes count as pinned, so the
+    // refill below cannot take the room the pin needs. Any other tile's
+    // charge goes with its window bytes; the caller's use of it is covered
+    // by the task's scratch reservation.
+    const bool keep = pin && CanPin(flight_bytes);
+    if (keep) {
+      pinned_bytes_ += flight_bytes;
+    } else {
+      ledger_->Release(flight_bytes);
+    }
     // Top the window back up before (possibly) blocking on this tile, so
     // later reads keep downloading while this one waits.
     Pump();
     auto result = future.Await();
-    // The hint-estimate charge is returned; a pinned tile re-acquires its
-    // exact resident footprint below, an unpinned one is covered by the
-    // task's scratch reservation while the caller consumes it.
-    ledger_->Release(flight_bytes);
-    if (result.ok()) NoteFetched(key, result.value(), pin);
+    if (keep) pinned_bytes_ -= flight_bytes;
+    if (!result.ok()) {
+      if (keep) ledger_->Release(flight_bytes);
+      return result;
+    }
+    NoteFetched(key, result.value(), pin, keep ? flight_bytes : 0);
+    if (keep) Pump();  // a pin that did not take leaves room behind
     return result;
   }
   // Never hinted (or hint still pending past the budget): fetch on the
-  // task thread. Drop a stale pending hint for the same tile so the
-  // window does not waste budget re-fetching it later.
+  // task thread. Drop the pending hint this read serves so the window
+  // does not waste budget re-fetching it later.
   for (auto pending_it = pending_.begin(); pending_it != pending_.end();
        ++pending_it) {
     if (pending_it->key == key) {
@@ -156,74 +198,113 @@ Result<std::shared_ptr<const Tile>> TaskTileReader::ReadInternal(
   TaskIoStats* io = TaskIoStats::Current();
   io->sync_read_seconds += blocked.ElapsedSeconds();
   ++io->sync_reads;
-  if (result.ok()) NoteFetched(key, result.value(), pin);
+  if (result.ok()) NoteFetched(key, result.value(), pin, 0);
   return result;
 }
 
 void TaskTileReader::NoteFetched(const std::string& key,
                                  const std::shared_ptr<const Tile>& tile,
-                                 bool pin) {
+                                 bool pin, int64_t charged) {
   const int64_t bytes = tile->MemoryBytes();
   if (spilled_.erase(key) > 0) ledger_->NoteRefetch(bytes);
   if (pin) {
-    TryPin(key, tile);
+    TryPin(key, tile, charged);
   } else {
     ledger_->NoteUnpinnedRead(bytes);
   }
 }
 
-bool TaskTileReader::TryPin(const std::string& key,
-                            std::shared_ptr<const Tile> tile) {
+void TaskTileReader::TryPin(const std::string& key,
+                            std::shared_ptr<const Tile> tile,
+                            int64_t charged) {
   const int64_t bytes = tile->MemoryBytes();
-  while (pinned_bytes_ + in_flight_bytes_ + bytes > pin_budget_bytes_ &&
-         !lru_.empty()) {
-    EvictLru();
+  // The charge becomes the pin's: handing it back first would let another
+  // task on the node take the bytes in between.
+  if (charged > bytes) {
+    ledger_->Release(charged - bytes);
+    charged = bytes;
   }
-  if (pinned_bytes_ + in_flight_bytes_ + bytes > pin_budget_bytes_) {
-    ledger_->NoteUnpinnedRead(bytes);
-    return false;
-  }
-  while (!ledger_->TryAcquire(bytes)) {
-    if (lru_.empty()) {
-      ledger_->NoteUnpinnedRead(bytes);
+  const int64_t next_use = NextUse(key);
+  // Belady's MIN: room is made by spilling pins whose next use is no
+  // nearer than this tile's; if this tile's own is the furthest, it is
+  // the one that goes.
+  auto spill_one = [&] {
+    auto victim = FurthestPin();
+    if (victim == pinned_.end() || NextUse(victim->key) < next_use) {
       return false;
     }
-    EvictLru();
+    Unpin(victim, /*spill=*/true);
+    return true;
+  };
+  bool fits = CanPin(bytes);
+  while (fits && pinned_bytes_ + std::max(in_flight_bytes_, window_floor_) +
+                         scratch_headroom_ + bytes >
+                     pin_budget_bytes_) {
+    fits = spill_one();
+  }
+  while (fits && !ledger_->TryAcquire(bytes - charged)) fits = spill_one();
+  if (!fits) {
+    ledger_->Release(charged);
+    ledger_->NoteUnpinnedRead(bytes);
+    // Dropped with a use still ahead: that use re-fetches it.
+    if (next_use != kNoUse) spilled_.insert(key);
+    return;
   }
   pinned_bytes_ += bytes;
-  lru_.push_front(MemoEntry{key, std::move(tile), bytes});
-  memo_[key] = lru_.begin();
-  return true;
+  pinned_.push_front(MemoEntry{key, std::move(tile), bytes});
+  memo_[key] = pinned_.begin();
 }
 
-void TaskTileReader::EvictLru() {
-  MemoEntry& victim = lru_.back();
-  pinned_bytes_ -= victim.bytes;
-  ledger_->Release(victim.bytes);
-  ledger_->NoteEviction(victim.bytes);
-  spilled_.insert(victim.key);
-  if (Tracer* tracer = GlobalTracer()) {
-    TraceSpan span;
-    span.name = StrCat("spill ", victim.key);
-    span.category = "spill";
-    span.parent_id = -1;  // instant marker, not nested under a job span
-    span.machine = machine_;
-    span.start_seconds =
-        tracer->time_offset() + task_clock_.ElapsedSeconds();
-    span.duration_seconds = 0.0;
-    span.args = {{"bytes", static_cast<double>(victim.bytes)}};
-    tracer->AddSpan(std::move(span));
+bool TaskTileReader::CanPin(int64_t bytes) const {
+  return bytes + window_floor_ + scratch_headroom_ <= pin_budget_bytes_;
+}
+
+TaskTileReader::MemoList::iterator TaskTileReader::FurthestPin() {
+  auto victim = pinned_.end();
+  int64_t victim_use = -1;
+  // Walk from the least recently used end, so it wins ties.
+  for (auto it = pinned_.end(); it != pinned_.begin();) {
+    --it;
+    const int64_t use = NextUse(it->key);
+    if (use > victim_use) {
+      victim = it;
+      victim_use = use;
+    }
   }
-  memo_.erase(victim.key);
-  lru_.pop_back();
+  return victim;
+}
+
+void TaskTileReader::Unpin(MemoList::iterator it, bool spill) {
+  pinned_bytes_ -= it->bytes;
+  ledger_->Release(it->bytes);
+  if (spill) {
+    ledger_->NoteEviction(it->bytes);
+    spilled_.insert(it->key);
+    if (Tracer* tracer = GlobalTracer()) {
+      TraceSpan span;
+      span.name = StrCat("spill ", it->key);
+      span.category = "spill";
+      span.parent_id = -1;  // instant marker, not nested under a job span
+      span.machine = machine_;
+      span.start_seconds =
+          tracer->time_offset() + task_clock_.ElapsedSeconds();
+      span.duration_seconds = 0.0;
+      span.args = {{"bytes", static_cast<double>(it->bytes)}};
+      tracer->AddSpan(std::move(span));
+    }
+  }
+  memo_.erase(it->key);
+  pinned_.erase(it);
 }
 
 TaskTileReader::ScratchReservation TaskTileReader::PinScratch(
     int64_t bytes) {
   if (bytes <= 0) return ScratchReservation();
+  scratch_headroom_ = std::max(scratch_headroom_, bytes);
   while (!ledger_->TryAcquire(bytes)) {
-    if (lru_.empty()) return ScratchReservation();
-    EvictLru();
+    auto victim = FurthestPin();
+    if (victim == pinned_.end()) return ScratchReservation();
+    Unpin(victim, /*spill=*/true);
   }
   return ScratchReservation(ledger_, bytes);
 }

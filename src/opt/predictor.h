@@ -46,8 +46,8 @@ struct PredictorOptions {
   /// Per-node memory budget of the target deployment (bytes; <= 0 =
   /// unbudgeted). The prediction's declared task costs then include the
   /// out-of-core streaming term (cost/cost_model.h StreamingRefetchBytes):
-  /// tasks whose working set exceeds their pin share of the budget are
-  /// charged the panel re-reads a streamed run would do, so predicted
+  /// tasks whose reused operand panels exceed their pin share of the
+  /// budget are charged the re-reads a streamed run would do, so predicted
   /// times show the stream-vs-resident crossover as the budget shrinks.
   int64_t memory_budget_bytes = 0;
 

@@ -34,6 +34,18 @@ TEST(CostModelTest, AccumulateCostsLikeElementwise) {
   EXPECT_DOUBLE_EQ(model.AccumulateSeconds(12345), model.EwSeconds(12345));
 }
 
+TEST(CostModelTest, StreamingRefetchChargesOnlyReusedSetOverShare) {
+  // An operand read once per task streams through: never a re-fetch.
+  EXPECT_EQ(StreamingRefetchBytes(1000, 1.0, 1000, 10), 0.0);
+  // The reused set fits the pin share: nothing spills.
+  EXPECT_EQ(StreamingRefetchBytes(400, 4.0, 400, 500), 0.0);
+  EXPECT_EQ(StreamingRefetchBytes(400, 4.0, 400, 0), 0.0) << "unbudgeted";
+  // Reused set twice the share: half of it spills, and each of the three
+  // reuses after the first re-reads that half.
+  EXPECT_DOUBLE_EQ(StreamingRefetchBytes(400, 4.0, 1000, 500),
+                   400.0 * 3.0 * 0.5);
+}
+
 TEST(CalibrationTest, MeasuresPositiveThroughputs) {
   CalibrationOptions options;
   options.tile_dim = 128;  // keep the probe fast

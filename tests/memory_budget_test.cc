@@ -1,7 +1,7 @@
 // The out-of-core memory ledger: hard-cap TryAcquire semantics, spill
 // accounting, the per-node group, and the budgeted TaskTileReader's
-// LRU pinned-panel window (evict, re-fetch, unpinned fallback, scratch
-// reservations).
+// pinned-panel window (evict, re-fetch, unpinned fallback, scratch
+// reservations, hint-driven pinning).
 
 #include <memory>
 
@@ -86,7 +86,8 @@ TEST(MemoryBudgetGroupTest, NodesAreIndependentAndTotalsFold) {
 }
 
 // ---------------------------------------------------------------------------
-// Budgeted TaskTileReader: the pinned-panel LRU window.
+// Budgeted TaskTileReader: the pinned-panel window. Tiles read without a
+// hint are plain memos, evicted least recently used first.
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const Tile> MakeTile(int64_t dim, double value) {

@@ -210,12 +210,14 @@ class ManualAsyncStore : public TileStore {
   Result<std::shared_ptr<const Tile>> Get(const std::string& matrix,
                                           TileId id, int) override {
     ++sync_gets;
+    ++gets[StrCat(matrix, "/", id.row, "_", id.col)];
     auto it = tiles_.find(StrCat(matrix, "/", id.row, "_", id.col));
     if (it == tiles_.end()) return Status::NotFound("no tile");
     return it->second;
   }
   TileFuture GetAsync(const std::string& matrix, TileId id, int) override {
     auto state = std::make_shared<TileFetchState>();
+    ++gets[StrCat(matrix, "/", id.row, "_", id.col)];
     issued.push_back({StrCat(matrix, "/", id.row, "_", id.col), state});
     return TileFuture::FromState(state);
   }
@@ -233,6 +235,7 @@ class ManualAsyncStore : public TileStore {
   std::map<std::string, std::shared_ptr<const Tile>> tiles_;
   std::vector<std::pair<std::string, std::shared_ptr<TileFetchState>>> issued;
   int sync_gets = 0;
+  std::map<std::string, int> gets;  // sync + async fetches per tile
 };
 
 TEST(TaskTileReaderTest, WindowRespectsByteBudget) {
@@ -336,6 +339,76 @@ TEST(TaskTileReaderTest, MemoServesRepeatedReadsOnce) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.value().get(), second.value().get());
   EXPECT_EQ(store.sync_gets, 1) << "second read must come from the memo";
+}
+
+TEST(TaskTileReaderTest, PinsOnlyReusedTilesAndNeverSpillsThemForPrefetch) {
+  // One task shaped like RSVD's A * Omega: 4 units, each reading its own
+  // row of wide A tiles once and the whole skinny W panel that every unit
+  // re-reads. The pin share holds the W panel, the scratch and a little
+  // window — far below the task's working set.
+  constexpr int kUnits = 4;
+  constexpr int kDepth = 4;
+  ManualAsyncStore store;
+  for (int u = 0; u < kUnits; ++u) {
+    for (int k = 0; k < kDepth; ++k) {
+      ASSERT_TRUE(
+          store.Put("A", TileId{u, k}, MakeTile(32, 32, u * kDepth + k), 0)
+              .ok());
+    }
+  }
+  for (int k = 0; k < kDepth; ++k) {
+    ASSERT_TRUE(store.Put("W", TileId{k, 0}, MakeTile(32, 4, k), 0).ok());
+  }
+  const int64_t a_bytes = MakeTile(32, 32, 0.0)->SizeBytes();
+  const int64_t w_bytes = MakeTile(32, 4, 0.0)->SizeBytes();
+  const int64_t a_mem = MakeTile(32, 32, 0.0)->MemoryBytes();
+  const int64_t w_mem = MakeTile(32, 4, 0.0)->MemoryBytes();
+  const int64_t share = kDepth * w_mem + 3 * a_mem;
+  ASSERT_LT(share, kUnits * kDepth * a_mem + kDepth * w_mem);
+
+  MemoryBudget ledger(share);  // one slot, no cache reserve
+  {
+    TaskTileReader reader(&store, 0, /*budget_bytes=*/share, &ledger, share);
+    for (int u = 0; u < kUnits; ++u) {
+      for (int k = 0; k < kDepth; ++k) {
+        reader.Hint("A", TileId{u, k}, a_bytes);
+        reader.Hint("W", TileId{k, 0}, w_bytes);
+      }
+    }
+    for (int u = 0; u < kUnits; ++u) {
+      const TaskTileReader::ScratchReservation acc = reader.PinScratch(w_mem);
+      EXPECT_EQ(acc.bytes(), w_mem) << "unit " << u;
+      for (int k = 0; k < kDepth; ++k) {
+        store.ResolveAll();
+        auto a = reader.ReadMemoized("A", TileId{u, k});
+        ASSERT_TRUE(a.ok()) << a.status();
+        EXPECT_EQ((*a)->At(0, 0), static_cast<double>(u * kDepth + k));
+        store.ResolveAll();
+        auto w = reader.ReadMemoized("W", TileId{k, 0});
+        ASSERT_TRUE(w.ok()) << w.status();
+        EXPECT_EQ((*w)->At(0, 0), static_cast<double>(k));
+        // The reader's ledger charge is exactly what it holds.
+        EXPECT_EQ(ledger.used_bytes(), reader.pinned_bytes() +
+                                           reader.in_flight_bytes() +
+                                           acc.bytes());
+      }
+    }
+    EXPECT_EQ(reader.pinned_bytes(), 0) << "every pin released at last use";
+    EXPECT_EQ(reader.in_flight_bytes(), 0);
+  }
+  for (int k = 0; k < kDepth; ++k) {
+    EXPECT_EQ(store.gets[StrCat("W/", k, "_0")], 1)
+        << "skinny tile " << k << " fetched more than once";
+  }
+  for (int u = 0; u < kUnits; ++u) {
+    for (int k = 0; k < kDepth; ++k) {
+      EXPECT_EQ(store.gets[StrCat("A/", u, "_", k)], 1);
+    }
+  }
+  EXPECT_EQ(ledger.counters().evictions, 0);
+  EXPECT_EQ(ledger.counters().refetches, 0);
+  EXPECT_LE(ledger.peak_bytes(), share);
+  EXPECT_EQ(ledger.used_bytes(), 0);
 }
 
 // ---------------------------------------------------------------------------

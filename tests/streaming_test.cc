@@ -17,6 +17,7 @@
 #include "dfs/dfs_tile_store.h"
 #include "dfs/sim_dfs.h"
 #include "exec/executor.h"
+#include "exec/physical_job.h"
 #include "exec/physical_plan.h"
 #include "matrix/kernel_config.h"
 #include "matrix/tile_ops.h"
@@ -230,6 +231,59 @@ TEST(StreamingExecutorTest, BudgetAboveCacheReserveRuns) {
   // The cache's standing reservation is the ledger floor.
   EXPECT_GE(result.value().memory_peak_bytes, 1 << 16);
   EXPECT_LE(result.value().memory_peak_bytes, 1 << 20);
+}
+
+// ---------------------------------------------------------------------------
+// Declared-cost streaming term of a MatMulJob's tasks under a pin share.
+// ---------------------------------------------------------------------------
+
+/// Per-task declared DFS reads of `a * b` in blocks of `params`, with each
+/// task pinning at most `task_pin_bytes`.
+std::vector<int64_t> DeclaredTaskReads(const TiledMatrix& a,
+                                       const TiledMatrix& b,
+                                       MatMulParams params,
+                                       int64_t task_pin_bytes) {
+  TileOpCostModel cost;
+  BuildContext ctx{nullptr, &cost, /*attach_work=*/false,
+                   /*query_locality=*/false};
+  ctx.task_pin_bytes = task_pin_bytes;
+  TiledMatrix c{"C", TileLayout(a.layout.rows(), b.layout.cols(),
+                                a.layout.tile_rows(), b.layout.tile_cols())};
+  MatMulJob job("mm", a, b, c, params, {});
+  auto built = job.Build(ctx);
+  CUMULON_CHECK(built.ok()) << built.status();
+  std::vector<int64_t> reads;
+  for (const Task& task : built->spec.tasks) {
+    reads.push_back(task.cost.bytes_read);
+  }
+  return reads;
+}
+
+TEST(StreamingCostTest, SkinnyPanelWithinShareIsNotChargedRefetches) {
+  // RSVD's A * Omega under an 8 MB node budget with a 4 MB cache and one
+  // slot: each task reads 4 rows of A once (16 MB, streamed) and re-reads
+  // the 1 MB Omega panel per row. The panel fits the 4 MB share, so the
+  // task declares exactly its resident reads.
+  TiledMatrix a{"A", TileLayout::Square(4096, 2048, 256)};
+  TiledMatrix omega{"Omega", TileLayout::Square(2048, 64, 256)};
+  const MatMulParams params{4, 1, 0};
+  EXPECT_EQ(DeclaredTaskReads(a, omega, params, 4LL << 20),
+            DeclaredTaskReads(a, omega, params, kUnlimitedPinBytes));
+}
+
+TEST(StreamingCostTest, BlockedPanelsOverShareAreChargedRefetches) {
+  // The streaming fuzz's tight 2x2-blocked multiply: A and B panels are
+  // both reused and together far exceed the 3-tile share.
+  TiledMatrix a{"A", TileLayout::Square(128, 128, kTile)};
+  TiledMatrix b{"B", TileLayout::Square(128, 128, kTile)};
+  const MatMulParams params{2, 2, 0};
+  const std::vector<int64_t> tight =
+      DeclaredTaskReads(a, b, params, 3 * kTileMem);
+  const std::vector<int64_t> resident =
+      DeclaredTaskReads(a, b, params, kUnlimitedPinBytes);
+  ASSERT_EQ(tight.size(), 1u);
+  ASSERT_EQ(resident.size(), 1u);
+  EXPECT_GT(tight[0], resident[0]);
 }
 
 // ---------------------------------------------------------------------------
